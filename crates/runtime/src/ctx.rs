@@ -9,9 +9,11 @@
 //!
 //! The context is the **backend seam** (see [`crate::backend`]): the same
 //! program closure runs unchanged under the deterministic model engine or
-//! on real OS threads. Each operation dispatches on [`CtxInner`] — the
-//! model arm drives the token-passing controller in [`crate::exec`], the
-//! native arm performs real loads/stores/waits via [`crate::native`].
+//! on real OS threads. Each method below is the only implementation of its
+//! operation under both engines — the misuse check, the transition of the
+//! shared model tables and the events it emits. What differs per engine
+//! (blocking, what follows an event, waking waiters, the variable store and
+//! the clock) goes through the hooks on [`crate::exec::Rt`].
 //!
 //! Misusing the model (unlocking a lock you don't hold, waiting on a
 //! condition without its lock, recursive locking, joining yourself) aborts
@@ -19,9 +21,9 @@
 //! backends; such misuse is itself a bug class benchmark programs may
 //! exhibit.
 
-use crate::exec::{thread_main, Controller, ModelMisuse};
-use crate::native::NativeRt;
+use crate::exec::{ModelMisuse, Rt};
 use crate::state::{BlockReason, Status};
+use crate::OutcomeKind;
 use mtt_instrument::{BarrierId, CondId, Loc, LockId, Op, SemId, ThreadId, VarId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -42,47 +44,24 @@ fn misuse(msg: String) -> ! {
     panic_any(ModelMisuse(msg))
 }
 
-/// Which engine this context drives.
-pub(crate) enum CtxInner {
-    /// Token-passing model controller.
-    Model(Arc<Controller>),
-    /// Native-threads runtime.
-    Native(Arc<NativeRt>),
-}
-
 /// Handle through which a model thread performs all shared-memory and
 /// synchronization operations.
 pub struct ThreadCtx {
-    inner: CtxInner,
+    rt: Arc<Rt>,
     me: ThreadId,
     rng: ChaCha8Rng,
 }
 
-/// The per-thread RNG seed: identical under both backends, so program
-/// logic driven by [`ThreadCtx::random`] is backend-independent.
-fn thread_rng(program_seed: u64, me: ThreadId) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(program_seed ^ (u64::from(me.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 impl ThreadCtx {
-    pub(crate) fn new(ctrl: Arc<Controller>, me: ThreadId) -> Self {
-        let seed = {
-            let g = ctrl.mx.lock();
-            g.opts.program_seed
-        };
+    /// The per-thread RNG is seeded from the program seed and the thread
+    /// id alone, so program logic driven by [`Self::random`] is
+    /// backend-independent.
+    pub(crate) fn new(rt: Arc<Rt>, me: ThreadId, program_seed: u64) -> Self {
+        let seed = program_seed ^ (u64::from(me.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ThreadCtx {
-            inner: CtxInner::Model(ctrl),
+            rt,
             me,
-            rng: thread_rng(seed, me),
-        }
-    }
-
-    pub(crate) fn new_native(rt: Arc<NativeRt>, me: ThreadId) -> Self {
-        let seed = rt.program_seed();
-        ThreadCtx {
-            inner: CtxInner::Native(rt),
-            me,
-            rng: thread_rng(seed, me),
+            rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
 
@@ -107,17 +86,9 @@ impl ThreadCtx {
     /// [`Self::read`] with an explicit site (used by code generators such
     /// as the MiniProg interpreter).
     pub fn read_at(&mut self, var: VarId, loc: Loc) -> i64 {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let value = g.model.read_var(self.me, var);
-                let nd = g.emit(self.me, loc, Op::VarRead { var, value });
-                ctrl.point(&mut g, self.me, nd);
-                value
-            }
-            CtxInner::Native(rt) => rt.read_at(self.me, var, loc),
-        }
+        let (g, value) = self.rt.load(self.me, var, loc);
+        self.rt.finish(g, self.me, loc, Op::VarRead { var, value });
+        value
     }
 
     /// Write a shared variable.
@@ -128,16 +99,8 @@ impl ThreadCtx {
 
     /// [`Self::write`] with an explicit site.
     pub fn write_at(&mut self, var: VarId, value: i64, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                g.model.write_var(self.me, var, value);
-                let nd = g.emit(self.me, loc, Op::VarWrite { var, value });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.write_at(self.me, var, value, loc),
-        }
+        let g = self.rt.store(self.me, var, value);
+        self.rt.finish(g, self.me, loc, Op::VarWrite { var, value });
     }
 
     /// Atomic read-modify-write: applies `f` to the *shared-store* value
@@ -147,21 +110,10 @@ impl ThreadCtx {
     #[track_caller]
     pub fn rmw<F: FnOnce(i64) -> i64>(&mut self, var: VarId, f: F) -> i64 {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let old = g.model.vars[var.index()];
-                let new = f(old);
-                g.model.vars[var.index()] = new;
-                // Atomics behave as volatile accesses: refresh this thread's view.
-                g.model.threads[self.me.index()].cache.insert(var, new);
-                let nd = g.emit(self.me, loc, Op::VarRmw { var, old, new });
-                ctrl.point(&mut g, self.me, nd);
-                old
-            }
-            CtxInner::Native(rt) => rt.rmw_at(self.me, var, f, loc),
-        }
+        let (g, old, new) = self.rt.rmw(self.me, var, loc, f);
+        self.rt
+            .finish(g, self.me, loc, Op::VarRmw { var, old, new });
+        old
     }
 
     // ------------------------------------------------------------------
@@ -176,39 +128,20 @@ impl ThreadCtx {
 
     /// [`Self::lock`] with an explicit site.
     pub fn lock_at(&mut self, lock: LockId, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let mut requested = false;
-                loop {
-                    match g.model.lock_owner[lock.index()] {
-                        None => {
-                            g.model.acquire_lock(self.me, lock);
-                            let nd = g.emit(self.me, loc, Op::LockAcquire { lock });
-                            ctrl.point(&mut g, self.me, nd);
-                            return;
-                        }
-                        Some(owner) if owner == self.me => {
-                            misuse(format!(
-                                "thread {} locked {:?} recursively (model mutexes are non-reentrant)",
-                                self.me, lock
-                            ));
-                        }
-                        Some(_) => {
-                            if !requested {
-                                let _ = g.emit(self.me, loc, Op::LockRequest { lock });
-                                requested = true;
-                            }
-                            g.model.threads[self.me.index()].status =
-                                Status::Blocked(BlockReason::Lock(lock));
-                            ctrl.block_and_park(&mut g, self.me);
-                        }
-                    }
-                }
+        let (rt, me) = (&*self.rt, self.me);
+        let mut g = rt.mx.lock();
+        match g.model.lock_owner[lock.index()] {
+            Some(owner) if owner == me => misuse(format!(
+                "thread {me} locked {lock:?} recursively (model mutexes are non-reentrant)"
+            )),
+            Some(_) => {
+                let _ = rt.emit(&mut g, me, loc, Op::LockRequest { lock });
+                rt.block(&mut g, me, Status::Blocked(BlockReason::Lock(lock)));
             }
-            CtxInner::Native(rt) => rt.lock_at(self.me, lock, loc),
+            None => {}
         }
+        g.model.acquire_lock(me, lock);
+        rt.finish(g, me, loc, Op::LockAcquire { lock });
     }
 
     /// Try to acquire a mutex without blocking. Returns whether it was
@@ -216,28 +149,19 @@ impl ThreadCtx {
     #[track_caller]
     pub fn try_lock(&mut self, lock: LockId) -> bool {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                match g.model.lock_owner[lock.index()] {
-                    None => {
-                        g.model.acquire_lock(self.me, lock);
-                        let nd = g.emit(self.me, loc, Op::LockAcquire { lock });
-                        ctrl.point(&mut g, self.me, nd);
-                        true
-                    }
-                    Some(owner) if owner == self.me => {
-                        misuse(format!("thread {} try_lock on lock it holds", self.me))
-                    }
-                    Some(_) => {
-                        let nd = g.emit(self.me, loc, Op::LockTryFail { lock });
-                        ctrl.point(&mut g, self.me, nd);
-                        false
-                    }
-                }
+        let (rt, me) = (&*self.rt, self.me);
+        let mut g = rt.mx.lock();
+        match g.model.lock_owner[lock.index()] {
+            None => {
+                g.model.acquire_lock(me, lock);
+                rt.finish(g, me, loc, Op::LockAcquire { lock });
+                true
             }
-            CtxInner::Native(rt) => rt.try_lock_at(self.me, lock, loc),
+            Some(owner) if owner == me => misuse(format!("thread {me} try_lock on lock it holds")),
+            Some(_) => {
+                rt.finish(g, me, loc, Op::LockTryFail { lock });
+                false
+            }
         }
     }
 
@@ -249,21 +173,15 @@ impl ThreadCtx {
 
     /// [`Self::unlock`] with an explicit site.
     pub fn unlock_at(&mut self, lock: LockId, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                if !g.model.release_lock(self.me, lock) {
-                    misuse(format!(
-                        "thread {} released {:?} which it does not hold",
-                        self.me, lock
-                    ));
-                }
-                let nd = g.emit(self.me, loc, Op::LockRelease { lock });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.unlock_at(self.me, lock, loc),
+        let (rt, me) = (&*self.rt, self.me);
+        let mut g = rt.mx.lock();
+        if !g.model.release_lock(me, lock) {
+            misuse(format!(
+                "thread {me} released {lock:?} which it does not hold"
+            ));
         }
+        rt.wake_waiters();
+        rt.finish(g, me, loc, Op::LockRelease { lock });
     }
 
     /// Run `f` with `lock` held (the model analogue of a `synchronized`
@@ -289,17 +207,7 @@ impl ThreadCtx {
 
     /// [`Self::wait`] with an explicit site.
     pub fn wait_at(&mut self, cond: CondId, lock: LockId, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                self.wait_inner(&ctrl, &mut g, cond, lock, None, loc);
-            }
-            CtxInner::Native(rt) => {
-                let rt = Arc::clone(rt);
-                rt.wait_at(self.me, cond, lock, None, loc);
-            }
-        }
+        self.wait_inner(cond, lock, None, loc);
     }
 
     /// Like [`Self::wait`] but gives up after `ticks` units of virtual time
@@ -307,57 +215,36 @@ impl ThreadCtx {
     /// Returns `true` when notified, `false` on timeout.
     #[track_caller]
     pub fn timed_wait(&mut self, cond: CondId, lock: LockId, ticks: u32) -> bool {
-        let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let deadline = g.model.time + u64::from(ticks.max(1));
-                self.wait_inner(&ctrl, &mut g, cond, lock, Some(deadline), loc)
-            }
-            CtxInner::Native(rt) => {
-                let rt = Arc::clone(rt);
-                rt.wait_at(self.me, cond, lock, Some(ticks), loc)
-            }
-        }
+        self.wait_inner(cond, lock, Some(ticks), caller_loc())
     }
 
-    fn wait_inner(
-        &mut self,
-        ctrl: &Arc<Controller>,
-        g: &mut parking_lot::MutexGuard<'_, crate::exec::Central>,
-        cond: CondId,
-        lock: LockId,
-        deadline: Option<u64>,
-        loc: Loc,
-    ) -> bool {
-        if g.model.lock_owner[lock.index()] != Some(self.me) {
+    fn wait_inner(&mut self, cond: CondId, lock: LockId, ticks: Option<u32>, loc: Loc) -> bool {
+        let (rt, me) = (&*self.rt, self.me);
+        let mut g = rt.mx.lock();
+        if g.model.lock_owner[lock.index()] != Some(me) {
             misuse(format!(
-                "thread {} waits on {:?} without holding {:?}",
-                self.me, cond, lock
+                "thread {me} waits on {cond:?} without holding {lock:?}"
             ));
         }
-        let _ = g.emit(self.me, loc, Op::CondWait { cond, lock });
-        assert!(g.model.release_lock(self.me, lock));
-        g.model.cond_queues[cond.index()].push(self.me);
-        g.model.threads[self.me.index()].timed_out = false;
-        g.model.threads[self.me.index()].status = Status::Blocked(match deadline {
-            Some(d) => BlockReason::CondTimed(cond, lock, d),
+        let _ = rt.emit(&mut g, me, loc, Op::CondWait { cond, lock });
+        assert!(g.model.release_lock(me, lock));
+        rt.wake_waiters();
+        g.model.cond_queues[cond.index()].push(me);
+        g.model.threads[me.index()].timed_out = false;
+        // Notify removes the waiter from the queue; absence is the wake
+        // condition.
+        let reason = match ticks {
+            Some(t) => BlockReason::CondTimed(cond, lock, rt.ticks_from_now(&g, t)),
             None => BlockReason::Cond(cond, lock),
-        });
-        ctrl.block_and_park(g, self.me);
-        let timed_out = g.model.threads[self.me.index()].timed_out;
-        // Re-acquire the lock (competing with everyone else).
-        loop {
-            if g.model.lock_owner[lock.index()].is_none() {
-                g.model.acquire_lock(self.me, lock);
-                break;
-            }
-            g.model.threads[self.me.index()].status = Status::Blocked(BlockReason::Lock(lock));
-            ctrl.block_and_park(g, self.me);
+        };
+        rt.block(&mut g, me, Status::Blocked(reason));
+        let timed_out = g.model.threads[me.index()].timed_out;
+        // Re-acquire the lock, competing with everyone else.
+        if g.model.lock_owner[lock.index()].is_some() {
+            rt.block(&mut g, me, Status::Blocked(BlockReason::Lock(lock)));
         }
-        let nd = g.emit(self.me, loc, Op::CondWake { cond, lock });
-        ctrl.point(g, self.me, nd);
+        g.model.acquire_lock(me, lock);
+        rt.finish(g, me, loc, Op::CondWake { cond, lock });
         !timed_out
     }
 
@@ -370,20 +257,7 @@ impl ThreadCtx {
 
     /// [`Self::notify`] with an explicit site.
     pub fn notify_at(&mut self, cond: CondId, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                if !g.model.cond_queues[cond.index()].is_empty() {
-                    let t = g.model.cond_queues[cond.index()].remove(0);
-                    g.model.threads[t.index()].status = Status::Ready;
-                    g.model.threads[t.index()].timed_out = false;
-                }
-                let nd = g.emit(self.me, loc, Op::CondNotify { cond, all: false });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.notify_at(self.me, cond, false, loc),
-        }
+        self.notify_inner(cond, false, loc);
     }
 
     /// Wake every thread waiting on `cond`.
@@ -394,20 +268,22 @@ impl ThreadCtx {
 
     /// [`Self::notify_all`] with an explicit site.
     pub fn notify_all_at(&mut self, cond: CondId, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let woken: Vec<ThreadId> = g.model.cond_queues[cond.index()].drain(..).collect();
-                for t in woken {
-                    g.model.threads[t.index()].status = Status::Ready;
-                    g.model.threads[t.index()].timed_out = false;
-                }
-                let nd = g.emit(self.me, loc, Op::CondNotify { cond, all: true });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.notify_at(self.me, cond, true, loc),
+        self.notify_inner(cond, true, loc);
+    }
+
+    fn notify_inner(&mut self, cond: CondId, all: bool, loc: Loc) {
+        let (rt, me) = (&*self.rt, self.me);
+        let mut g = rt.mx.lock();
+        let model = &mut g.model;
+        let queue = &mut model.cond_queues[cond.index()];
+        let n = if all { queue.len() } else { queue.len().min(1) };
+        for t in queue.drain(..n) {
+            let t = &mut model.threads[t.index()];
+            t.status = Status::Ready;
+            t.timed_out = false;
         }
+        rt.wake_waiters();
+        rt.finish(g, me, loc, Op::CondNotify { cond, all });
     }
 
     // ------------------------------------------------------------------
@@ -418,85 +294,59 @@ impl ThreadCtx {
     #[track_caller]
     pub fn sem_acquire(&mut self, sem: SemId) {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let mut requested = false;
-                loop {
-                    if g.model.sem_permits[sem.index()] > 0 {
-                        g.model.sem_permits[sem.index()] -= 1;
-                        g.model.threads[self.me.index()].flush_cache();
-                        let nd = g.emit(self.me, loc, Op::SemAcquire { sem });
-                        ctrl.point(&mut g, self.me, nd);
-                        return;
-                    }
-                    if !requested {
-                        let _ = g.emit(self.me, loc, Op::SemRequest { sem });
-                        requested = true;
-                    }
-                    g.model.threads[self.me.index()].status =
-                        Status::Blocked(BlockReason::Sem(sem));
-                    ctrl.block_and_park(&mut g, self.me);
-                }
-            }
-            CtxInner::Native(rt) => rt.sem_acquire_at(self.me, sem, loc),
+        let (rt, me) = (&*self.rt, self.me);
+        let mut g = rt.mx.lock();
+        if g.model.sem_permits[sem.index()] == 0 {
+            let _ = rt.emit(&mut g, me, loc, Op::SemRequest { sem });
+            rt.block(&mut g, me, Status::Blocked(BlockReason::Sem(sem)));
         }
+        g.model.sem_permits[sem.index()] -= 1;
+        g.model.threads[me.index()].flush_cache();
+        rt.finish(g, me, loc, Op::SemAcquire { sem });
     }
 
     /// Release one permit and wake blocked acquirers.
     #[track_caller]
     pub fn sem_release(&mut self, sem: SemId) {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                g.model.sem_permits[sem.index()] += 1;
-                for t in g.model.threads.iter_mut() {
-                    if t.status == Status::Blocked(BlockReason::Sem(sem)) {
-                        t.status = Status::Ready;
-                    }
-                }
-                g.model.threads[self.me.index()].flush_cache();
-                let nd = g.emit(self.me, loc, Op::SemRelease { sem });
-                ctrl.point(&mut g, self.me, nd);
+        let (rt, me) = (&*self.rt, self.me);
+        let mut g = rt.mx.lock();
+        g.model.sem_permits[sem.index()] += 1;
+        for t in g.model.threads.iter_mut() {
+            if t.status == Status::Blocked(BlockReason::Sem(sem)) {
+                t.status = Status::Ready;
             }
-            CtxInner::Native(rt) => rt.sem_release_at(self.me, sem, loc),
         }
+        g.model.threads[me.index()].flush_cache();
+        rt.wake_waiters();
+        rt.finish(g, me, loc, Op::SemRelease { sem });
     }
 
     /// Arrive at a cyclic barrier and block until all parties have arrived.
     #[track_caller]
     pub fn barrier_wait(&mut self, barrier: BarrierId) {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                g.model.barrier_arrived[barrier.index()].push(self.me);
-                let _ = g.emit(self.me, loc, Op::BarrierArrive { barrier });
-                let full = g.model.barrier_arrived[barrier.index()].len() as u32
-                    == g.model.barrier_parties[barrier.index()];
-                if full {
-                    let arrived: Vec<ThreadId> =
-                        g.model.barrier_arrived[barrier.index()].drain(..).collect();
-                    for t in arrived {
-                        if t != self.me {
-                            g.model.threads[t.index()].status = Status::Ready;
-                        }
-                    }
-                } else {
-                    g.model.threads[self.me.index()].status =
-                        Status::Blocked(BlockReason::Barrier(barrier));
-                    ctrl.block_and_park(&mut g, self.me);
+        let (rt, me) = (&*self.rt, self.me);
+        let mut g = rt.mx.lock();
+        g.model.barrier_arrived[barrier.index()].push(me);
+        let _ = rt.emit(&mut g, me, loc, Op::BarrierArrive { barrier });
+        let full = g.model.barrier_arrived[barrier.index()].len() as u32
+            == g.model.barrier_parties[barrier.index()];
+        if full {
+            // Departure = removal from the arrival list; waiters pass when
+            // they no longer find themselves in it.
+            let model = &mut g.model;
+            for t in model.barrier_arrived[barrier.index()].drain(..) {
+                if t != me {
+                    model.threads[t.index()].status = Status::Ready;
                 }
-                g.model.threads[self.me.index()].flush_cache();
-                let nd = g.emit(self.me, loc, Op::BarrierPass { barrier });
-                ctrl.point(&mut g, self.me, nd);
             }
-            CtxInner::Native(rt) => rt.barrier_wait_at(self.me, barrier, loc),
+            rt.wake_waiters();
+        } else {
+            rt.block(&mut g, me, Status::Blocked(BlockReason::Barrier(barrier)));
         }
+        g.model.threads[me.index()].flush_cache();
+        rt.finish(g, me, loc, Op::BarrierPass { barrier });
     }
 
     // ------------------------------------------------------------------
@@ -510,71 +360,37 @@ impl ThreadCtx {
         F: FnOnce(&mut ThreadCtx) + Send + 'static,
     {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                if g.model.threads.len() as u32 >= g.opts.max_threads {
-                    misuse(format!(
-                        "thread limit ({}) exceeded — runaway spawn loop?",
-                        g.opts.max_threads
-                    ));
-                }
-                let child = ThreadId(g.model.threads.len() as u32);
-                g.model
-                    .threads
-                    .push(crate::state::ThreadState::new(name.into()));
-                g.stats.threads += 1;
-                let ctrl2 = Arc::clone(&ctrl);
-                let handle = std::thread::Builder::new()
-                    .name(format!("mtt-{}", child.0))
-                    .spawn(move || thread_main(ctrl2, child, Box::new(body)))
-                    .expect("failed to spawn model thread");
-                g.os_handles.push(handle);
-                let nd = g.emit(self.me, loc, Op::Spawn { child });
-                ctrl.point(&mut g, self.me, nd);
-                child
-            }
-            CtxInner::Native(rt) => {
-                let rt = Arc::clone(rt);
-                rt.spawn_at(self.me, name.into(), Box::new(body), loc)
-            }
+        let (rt, me) = (&self.rt, self.me);
+        let mut g = rt.mx.lock();
+        if g.model.threads.len() as u32 >= g.opts.max_threads {
+            misuse(format!(
+                "thread limit ({}) exceeded — runaway spawn loop?",
+                g.opts.max_threads
+            ));
         }
+        let child = rt.start_thread(&mut g, name.into(), Box::new(body));
+        rt.finish(g, me, loc, Op::Spawn { child });
+        child
     }
 
     /// Block until `target` finishes.
     #[track_caller]
     pub fn join(&mut self, target: ThreadId) {
         let loc = caller_loc();
-        if target == self.me {
-            misuse(format!("thread {} joining itself", self.me));
+        let (rt, me) = (&*self.rt, self.me);
+        if target == me {
+            misuse(format!("thread {me} joining itself"));
         }
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                if target.index() >= g.model.threads.len() {
-                    misuse(format!("join on unknown thread {target}"));
-                }
-                let mut requested = false;
-                loop {
-                    if g.model.threads[target.index()].status == Status::Finished {
-                        g.model.threads[self.me.index()].flush_cache();
-                        let nd = g.emit(self.me, loc, Op::Join { target });
-                        ctrl.point(&mut g, self.me, nd);
-                        return;
-                    }
-                    if !requested {
-                        let _ = g.emit(self.me, loc, Op::JoinRequest { target });
-                        requested = true;
-                    }
-                    g.model.threads[self.me.index()].status =
-                        Status::Blocked(BlockReason::Join(target));
-                    ctrl.block_and_park(&mut g, self.me);
-                }
-            }
-            CtxInner::Native(rt) => rt.join_at(self.me, target, loc),
+        let mut g = rt.mx.lock();
+        if target.index() >= g.model.threads.len() {
+            misuse(format!("join on unknown thread {target}"));
         }
+        if g.model.threads[target.index()].status != Status::Finished {
+            let _ = rt.emit(&mut g, me, loc, Op::JoinRequest { target });
+            rt.block(&mut g, me, Status::Blocked(BlockReason::Join(target)));
+        }
+        g.model.threads[me.index()].flush_cache();
+        rt.finish(g, me, loc, Op::Join { target });
     }
 
     // ------------------------------------------------------------------
@@ -589,15 +405,9 @@ impl ThreadCtx {
 
     /// [`Self::yield_now`] with an explicit site.
     pub fn yield_at(&mut self, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let nd = g.emit(self.me, loc, Op::Yield);
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.yield_at(self.me, loc),
-        }
+        let g = self.rt.mx.lock();
+        self.rt.finish(g, self.me, loc, Op::Yield);
+        self.rt.os_yield();
     }
 
     /// Sleep for `ticks` units of virtual time (model) or `ticks × 100µs`
@@ -609,17 +419,11 @@ impl ThreadCtx {
 
     /// [`Self::sleep`] with an explicit site.
     pub fn sleep_at(&mut self, ticks: u32, loc: Loc) {
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let wake = g.model.time + u64::from(ticks.max(1));
-                let _ = g.emit(self.me, loc, Op::Sleep { ticks });
-                g.model.threads[self.me.index()].status = Status::Sleeping(wake);
-                ctrl.block_and_park(&mut g, self.me);
-            }
-            CtxInner::Native(rt) => rt.sleep_at(self.me, ticks, loc),
-        }
+        let (rt, me) = (&*self.rt, self.me);
+        let mut g = rt.mx.lock();
+        let wake = rt.ticks_from_now(&g, ticks);
+        let _ = rt.emit(&mut g, me, loc, Op::Sleep { ticks });
+        rt.block(&mut g, me, Status::Sleeping(wake));
     }
 
     /// Pure instrumentation marker: emits a [`Op::Point`] event carrying
@@ -627,16 +431,9 @@ impl ThreadCtx {
     #[track_caller]
     pub fn point(&mut self, label: &str) {
         let loc = caller_loc();
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let li = g.intern_label(label);
-                let nd = g.emit(self.me, loc, Op::Point { label: li });
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.point_at(self.me, label, loc),
-        }
+        let mut g = self.rt.mx.lock();
+        let li = g.intern_label(label);
+        self.rt.finish(g, self.me, loc, Op::Point { label: li });
     }
 
     /// Executable assertion. A failure is recorded in the outcome (and, if
@@ -652,27 +449,14 @@ impl ThreadCtx {
         if cond {
             return;
         }
-        match &self.inner {
-            CtxInner::Model(ctrl) => {
-                let ctrl = Arc::clone(ctrl);
-                let mut g = ctrl.mx.lock();
-                let li = g.intern_label(label);
-                if g.stats.first_failure_step.is_none() {
-                    g.stats.first_failure_step = Some(g.stats.sched_points);
-                }
-                g.assert_failures.push(AssertFailureRecord {
-                    thread: self.me,
-                    label: label.to_string(),
-                    loc,
-                });
-                let nd = g.emit(self.me, loc, Op::AssertFail { label: li });
-                if g.opts.stop_on_assert {
-                    g.do_abort(crate::OutcomeKind::AssertStop);
-                }
-                ctrl.point(&mut g, self.me, nd);
-            }
-            CtxInner::Native(rt) => rt.check_at(self.me, label, loc),
+        let (rt, me) = (&*self.rt, self.me);
+        let mut g = rt.mx.lock();
+        let li = g.record_failure(me, label, loc);
+        let nd = rt.emit(&mut g, me, loc, Op::AssertFail { label: li });
+        if g.opts.stop_on_assert {
+            rt.raise_abort(&mut g, OutcomeKind::AssertStop);
         }
+        rt.step(g, me, nd);
     }
 
     /// Deterministic pseudo-randomness for program logic: uniform in
@@ -684,5 +468,3 @@ impl ThreadCtx {
         self.rng.gen_range(0..bound)
     }
 }
-
-type AssertFailureRecord = crate::outcome::AssertFailure;

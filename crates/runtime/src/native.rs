@@ -1,73 +1,65 @@
-//! The native-threads execution engine ([`crate::RuntimeBackend::Native`]).
+//! The native-threads engine ([`crate::RuntimeBackend::Native`]).
 //!
-//! Program closures run on real `std::thread`s. Shared variables live in
-//! real memory — volatile variables in `SeqCst` atomics, non-volatile ones
-//! in [`mtt_race::RaceCell`]s whose torn-read detection is the engine's
-//! race oracle (there is no serialized event stream to run a lockset or
-//! vector-clock detector over; a torn read is *physical* evidence that an
-//! unsynchronized access really happened). Synchronization bookkeeping
-//! (lock owners, condition queues, semaphore permits, barrier arrivals,
-//! thread statuses) reuses the model's [`ModelState`] tables, mutated under
-//! one `parking_lot` mutex; blocking operations publish a `Blocked` status
-//! and wait on a condition variable, so the watchdog can compute the same
-//! waits-for diagnostics as the model engine.
+//! Program closures run on real `std::thread`s through the same
+//! [`crate::ThreadCtx`] operations as under the model engine: one op layer
+//! over the shared book (lock owners, condition queues, semaphore permits,
+//! barrier arrivals, thread statuses, events, noise, assertions), mutated
+//! under one `parking_lot` mutex. This module holds only the native side of
+//! the engine hooks:
 //!
-//! What is intentionally **different** from the model engine:
+//! * **Storage.** Shared variables live in real memory — volatile
+//!   variables in `SeqCst` atomics, non-volatile ones in
+//!   [`mtt_race::RaceCell`]s, accessed *off* the book lock. Torn-read
+//!   detection is the engine's race oracle (there is no serialized event
+//!   stream to run a lockset or vector-clock detector over; a torn read is
+//!   *physical* evidence that an unsynchronized access really happened).
+//!   Torn reads are reported as synthetic [`crate::AssertFailure`]s
+//!   labelled `race:torn-read:<var>`, so `Outcome::ok()` and every
+//!   downstream oracle treat a physically manifested race exactly like a
+//!   failed executable assertion.
+//! * **Blocking.** A blocked thread publishes its `Blocked` status and
+//!   polls its wake predicate on a condition variable, so the watchdog can
+//!   compute the same waits-for diagnostics as the model engine.
+//! * **Time.** `Event::time` is microseconds since the run started;
+//!   `ctx.sleep(ticks)` and noise [`crate::NoiseDecision::Sleep`] wait
+//!   `ticks × 100µs`; [`crate::NoiseDecision::Yield`] is
+//!   `thread::yield_now`.
+//! * **Teardown.** Runs can genuinely hang, so a wall-clock **watchdog**
+//!   enforces [`crate::ExecutionOptions::wall_budget`] (default 10s) and
+//!   maps exhaustion to [`crate::OutcomeKind::StepLimit`] — the model's
+//!   "hang" analogue. It also detects deadlocks by checking, under the book
+//!   lock, that every live thread is blocked on a condition nothing can
+//!   satisfy.
 //!
-//! * No scheduler. The OS schedules; the configured [`Scheduler`] is never
-//!   consulted (`scheduler_faults`/`context_switches` stay 0).
-//! * Time is wall-clock. `Event::time` is microseconds since the run
-//!   started; `ctx.sleep(ticks)` sleeps `ticks × 100µs`; noise
-//!   [`NoiseDecision::Yield`]/[`NoiseDecision::Sleep`] map to
-//!   `thread::yield_now` / real interruptible sleeps.
-//! * Runs can genuinely hang, so a wall-clock **watchdog** enforces
-//!   [`ExecutionOptions::wall_budget`] (default 10s) and maps exhaustion to
-//!   [`OutcomeKind::StepLimit`] — the model's "hang" analogue. The watchdog
-//!   also detects deadlocks by checking, under the bookkeeping lock, that
-//!   every live thread is blocked on a condition nothing can satisfy.
-//! * Spurious-wakeup injection is a model feature and is not emulated; the
-//!   real platform supplies its own nondeterminism.
-//!
-//! Torn reads observed by `RaceCell` are reported as synthetic
-//! [`AssertFailure`]s labelled `race:torn-read:<var>`, so `Outcome::ok()`
-//! and every downstream oracle treat a physically manifested race exactly
-//! like a failed executable assertion.
+//! There is no scheduler: the OS schedules, and the configured
+//! [`crate::Scheduler`] is never consulted (`scheduler_faults` and
+//! `context_switches` stay 0). Spurious-wakeup injection is a model feature
+//! and is not emulated; the real platform supplies its own nondeterminism.
 
-use crate::ctx::ThreadCtx;
-use crate::exec::{install_quiet_hook, AbortToken, ExecutionOptions, ModelMisuse};
-use crate::noise::{NoiseDecision, NoiseMaker, NoiseView};
-use crate::outcome::{AssertFailure, ExecStats, Outcome, OutcomeKind};
+use crate::exec::{Guard, Rt};
+use crate::outcome::OutcomeKind;
 use crate::program::Program;
-use crate::state::{BlockReason, ModelState, Status, ThreadState};
-use mtt_instrument::{
-    BarrierId, CondId, Event, EventSink, Loc, LockId, Op, ResolvedFilter, SemId, ThreadId, VarId,
-};
+use crate::state::{BlockReason, Status};
+use mtt_instrument::{ThreadId, VarId};
 use mtt_race::RaceCell;
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashMap};
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::{Duration, Instant};
 
-/// One model tick, in wall time: `ctx.sleep(1)` sleeps this long.
-pub(crate) const NATIVE_TICK: Duration = Duration::from_micros(100);
+/// One model tick, in wall-clock microseconds: `ctx.sleep(1)` sleeps this
+/// long.
+pub(crate) const NATIVE_TICK_US: u64 = 100;
 /// Wall budget when the caller did not set one. Native runs can hang, so
 /// there is always *some* watchdog deadline.
-pub(crate) const DEFAULT_NATIVE_BUDGET: Duration = Duration::from_secs(10);
+const DEFAULT_NATIVE_BUDGET: Duration = Duration::from_secs(10);
 /// Watchdog poll / blocked-thread re-check interval.
 const POLL: Duration = Duration::from_millis(20);
 /// How long teardown waits for live threads after completion or abort
 /// before detaching the stragglers.
 const TEARDOWN_GRACE: Duration = Duration::from_secs(2);
 
-fn misuse(msg: String) -> ! {
-    panic::panic_any(ModelMisuse(msg))
-}
-
 /// Physical storage for one shared variable.
-pub(crate) enum NativeVar {
+enum NativeVar {
     /// Volatile variables are sequentially consistent, like the model's.
     Volatile(AtomicI64),
     /// Non-volatile variables get torn-read detection instead of the
@@ -75,91 +67,11 @@ pub(crate) enum NativeVar {
     Plain(RaceCell),
 }
 
-impl NativeVar {
-    fn load_synced(&self) -> i64 {
-        match self {
-            NativeVar::Volatile(a) => a.load(Ordering::SeqCst),
-            NativeVar::Plain(c) => c.load_synced(),
-        }
-    }
-}
-
-/// First torn-read observation for one variable (later ones add nothing:
-/// the synthetic failure reports *that* the race manifested, and where
-/// first).
-struct TornObs {
-    thread: ThreadId,
-    loc: Loc,
-}
-
-/// Everything behind the native engine's bookkeeping mutex.
-pub(crate) struct NBook {
-    /// Reused model tables: lock owners, cond queues, sem permits, barrier
-    /// arrivals, thread records, finish order. `model.vars` is **not** the
-    /// value store here (values live in [`NativeRt::vars`]); it only feeds
-    /// `deadlock_info` and final-state plumbing that ignores it.
-    pub model: ModelState,
-    noise: Box<dyn NoiseMaker>,
-    sinks: Vec<Box<dyn EventSink>>,
-    sink_filter: ResolvedFilter,
-    noise_filter: ResolvedFilter,
-    opts: ExecutionOptions,
-    stats: ExecStats,
-    abort: Option<OutcomeKind>,
-    completed: bool,
-    /// OS threads that have been spawned and not yet returned from
-    /// `native_thread_main` — teardown waits for this to drain.
-    live: u32,
-    os_handles: Vec<JoinHandle<()>>,
-    labels: Vec<String>,
-    label_idx: HashMap<String, u32>,
-    assert_failures: Vec<AssertFailure>,
-    /// Torn-read observations, keyed by variable id (ordered so the
-    /// synthetic failures appended to the outcome are deterministic).
-    torn: BTreeMap<u32, TornObs>,
-    scratch_runnable: Vec<ThreadId>,
-}
-
-impl NBook {
-    fn intern_label(&mut self, label: &str) -> u32 {
-        if let Some(&i) = self.label_idx.get(label) {
-            return i;
-        }
-        let i = self.labels.len() as u32;
-        self.labels.push(label.to_string());
-        self.label_idx.insert(label.to_string(), i);
-        i
-    }
-
-    /// Record an abort cause (first one wins), mirroring the model engine.
-    fn do_abort(&mut self, kind: OutcomeKind) {
-        if self.abort.is_none() {
-            if !matches!(kind, OutcomeKind::StepLimit) && self.stats.first_failure_step.is_none() {
-                self.stats.first_failure_step = Some(self.stats.sched_points);
-            }
-            self.abort = Some(kind);
-        }
-    }
-
-    fn record_torn(&mut self, me: ThreadId, var: VarId, loc: Loc) {
-        self.torn
-            .entry(var.0)
-            .or_insert(TornObs { thread: me, loc });
-    }
-}
-
-/// Shared handle of one native execution.
-pub(crate) struct NativeRt {
-    /// Physical variable store, indexed by `VarId`.
+/// The native engine's own state: the physical variable store and the
+/// wall clock.
+pub(crate) struct NativeEngine {
+    /// Indexed by `VarId`.
     vars: Vec<NativeVar>,
-    pub(crate) book: Mutex<NBook>,
-    cv: Condvar,
-    /// Global event sequence — a real atomic, since events originate on
-    /// concurrently running threads.
-    seq: AtomicU64,
-    /// Raised on abort; checked by every operation and every interruptible
-    /// sleep so threads unwind promptly even while off the book lock.
-    abort_flag: AtomicBool,
     start: Instant,
     /// Serializes read-modify-write operations against each other (the
     /// native analogue of `AtomicInteger`); plain writes still race with
@@ -167,758 +79,144 @@ pub(crate) struct NativeRt {
     rmw_lock: Mutex<()>,
 }
 
-impl NativeRt {
-    fn now_micros(&self) -> u64 {
+impl NativeEngine {
+    pub(crate) fn new(program: &Program, start: Instant) -> Self {
+        let vars = program
+            .vars()
+            .iter()
+            .map(|v| {
+                if v.volatile {
+                    NativeVar::Volatile(AtomicI64::new(v.init))
+                } else {
+                    NativeVar::Plain(RaceCell::new(v.init))
+                }
+            })
+            .collect();
+        NativeEngine {
+            vars,
+            start,
+            rmw_lock: Mutex::new(()),
+        }
+    }
+
+    pub(crate) fn now_micros(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// Unwind this thread if the execution is aborting.
-    fn check_abort(&self, b: &NBook) {
-        if b.abort.is_some() || self.abort_flag.load(Ordering::Relaxed) {
-            panic::panic_any(AbortToken);
-        }
-    }
-
-    /// Record an abort and wake everything that might be parked on it.
-    fn raise_abort(&self, b: &mut NBook, kind: OutcomeKind) {
-        b.do_abort(kind);
-        self.abort_flag.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
-
-    /// Emit one event to the sinks and consult the noise maker. Counts a
-    /// scheduling point against `max_steps` (the logical budget applies to
-    /// both backends; the wall budget is enforced by the watchdog). The
-    /// returned decision must be applied *off* the book lock via
-    /// [`Self::apply_noise`].
-    fn emit(&self, b: &mut NBook, me: ThreadId, loc: Loc, op: Op) -> NoiseDecision {
-        self.check_abort(b);
-        b.stats.events += 1;
-        b.stats.sched_points += 1;
-        if b.stats.sched_points > b.opts.max_steps {
-            self.raise_abort(b, OutcomeKind::StepLimit);
-            panic::panic_any(AbortToken);
-        }
-        let ev = Event {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            time: self.now_micros(),
-            thread: me,
-            loc,
-            op,
-            locks_held: Arc::clone(&b.model.threads[me.index()].held_snapshot),
-        };
-        if b.sink_filter.selects(&ev) {
-            for s in &mut b.sinks {
-                s.on_event(&ev);
-            }
-        }
-        let decision = if b.noise_filter.selects(&ev) {
-            let mut scratch = std::mem::take(&mut b.scratch_runnable);
-            b.model.collect_runnable(&mut scratch);
-            let view = NoiseView {
-                runnable: scratch.len(),
-                step: b.stats.sched_points,
-                time: ev.time,
-            };
-            b.scratch_runnable = scratch;
-            b.noise.decide(&ev, &view)
-        } else {
-            NoiseDecision::None
-        };
-        match decision {
-            NoiseDecision::None => {}
-            NoiseDecision::Yield => {
-                b.stats.noise_injections += 1;
-                b.stats.forced_yields += 1;
-            }
-            NoiseDecision::Sleep(_) => b.stats.noise_injections += 1,
-        }
-        decision
-    }
-
-    /// Apply a noise decision with real thread primitives. Must be called
-    /// without the book lock held.
-    fn apply_noise(&self, nd: NoiseDecision) {
-        match nd {
-            NoiseDecision::None => {}
-            NoiseDecision::Yield => std::thread::yield_now(),
-            NoiseDecision::Sleep(ticks) => {
-                self.interruptible_sleep(NATIVE_TICK * ticks.max(1));
-            }
-        }
-    }
-
-    /// Real sleep in short chunks, unwinding promptly on abort.
-    fn interruptible_sleep(&self, total: Duration) {
-        let deadline = Instant::now() + total;
-        loop {
-            if self.abort_flag.load(Ordering::Relaxed) {
-                panic::panic_any(AbortToken);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
-        }
-    }
-
-    /// Park `me` (publishing `Blocked(reason)` for the watchdog) until
-    /// `ready` holds under the book lock, the optional deadline passes
-    /// (returns `false`), or the execution aborts (unwinds). On return the
-    /// thread's status is `Running` again.
-    ///
-    /// `ready` must be a pure predicate over the bookkeeping state (never
-    /// over this thread's own status): the watchdog re-evaluates the same
-    /// conditions to prove a deadlock, so the two must agree.
-    fn block_until(
-        &self,
-        g: &mut MutexGuard<'_, NBook>,
-        me: ThreadId,
-        reason: BlockReason,
-        mut ready: impl FnMut(&NBook) -> bool,
-        deadline: Option<Instant>,
-    ) -> bool {
-        loop {
-            self.check_abort(g);
-            if ready(g) {
-                g.model.threads[me.index()].status = Status::Running;
-                return true;
-            }
-            let wait = match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        g.model.threads[me.index()].status = Status::Running;
-                        return false;
-                    }
-                    (d - now).min(POLL)
-                }
-                None => POLL,
-            };
-            g.model.threads[me.index()].status = Status::Blocked(reason);
-            let _ = self.cv.wait_for(g, wait);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Operations (called from `ThreadCtx`'s native arms)
-    // ------------------------------------------------------------------
-
-    pub(crate) fn read_at(&self, me: ThreadId, var: VarId, loc: Loc) -> i64 {
-        let (value, torn) = match &self.vars[var.index()] {
+    /// Load `var`; returns the value and whether the read tore.
+    pub(crate) fn load(&self, var: VarId) -> (i64, bool) {
+        match &self.vars[var.index()] {
             NativeVar::Volatile(a) => (a.load(Ordering::SeqCst), false),
             NativeVar::Plain(c) => {
                 let r = c.get();
                 (r.value(), r.is_torn())
             }
-        };
-        let nd = {
-            let mut g = self.book.lock();
-            if torn {
-                g.record_torn(me, var, loc);
-            }
-            self.emit(&mut g, me, loc, Op::VarRead { var, value })
-        };
-        self.apply_noise(nd);
-        value
+        }
     }
 
-    pub(crate) fn write_at(&self, me: ThreadId, var: VarId, value: i64, loc: Loc) {
+    pub(crate) fn store(&self, var: VarId, value: i64) {
         match &self.vars[var.index()] {
             NativeVar::Volatile(a) => a.store(value, Ordering::SeqCst),
             NativeVar::Plain(c) => c.set(value),
         }
-        let nd = {
-            let mut g = self.book.lock();
-            self.emit(&mut g, me, loc, Op::VarWrite { var, value })
-        };
-        self.apply_noise(nd);
     }
 
-    pub(crate) fn rmw_at(
-        &self,
-        me: ThreadId,
-        var: VarId,
-        f: impl FnOnce(i64) -> i64,
-        loc: Loc,
-    ) -> i64 {
-        let (old, new, torn) = {
-            let _atomic = self.rmw_lock.lock();
-            match &self.vars[var.index()] {
-                NativeVar::Volatile(a) => {
-                    let old = a.load(Ordering::SeqCst);
-                    let new = f(old);
-                    a.store(new, Ordering::SeqCst);
-                    (old, new, false)
-                }
-                NativeVar::Plain(c) => {
-                    let r = c.get();
-                    let old = r.value();
-                    let new = f(old);
-                    c.set(new);
-                    (old, new, r.is_torn())
-                }
-            }
-        };
-        let nd = {
-            let mut g = self.book.lock();
-            if torn {
-                g.record_torn(me, var, loc);
-            }
-            self.emit(&mut g, me, loc, Op::VarRmw { var, old, new })
-        };
-        self.apply_noise(nd);
-        old
+    /// Replace `var` by `f(old)` atomically with respect to other
+    /// read-modify-writes; returns `(old, new, torn)`.
+    pub(crate) fn rmw(&self, var: VarId, f: impl FnOnce(i64) -> i64) -> (i64, i64, bool) {
+        let _atomic = self.rmw_lock.lock();
+        let (old, torn) = self.load(var);
+        let new = f(old);
+        self.store(var, new);
+        (old, new, torn)
     }
 
-    pub(crate) fn lock_at(&self, me: ThreadId, lock: LockId, loc: Loc) {
-        let nd = {
-            let mut g = self.book.lock();
-            match g.model.lock_owner[lock.index()] {
-                Some(owner) if owner == me => misuse(format!(
-                    "thread {me} locked {lock:?} recursively (model mutexes are non-reentrant)"
-                )),
-                Some(_) => {
-                    let _ = self.emit(&mut g, me, loc, Op::LockRequest { lock });
-                    self.block_until(
-                        &mut g,
-                        me,
-                        BlockReason::Lock(lock),
-                        |b| b.model.lock_owner[lock.index()].is_none(),
-                        None,
-                    );
-                }
-                None => {}
-            }
-            g.model.acquire_lock(me, lock);
-            self.emit(&mut g, me, loc, Op::LockAcquire { lock })
-        };
-        self.apply_noise(nd);
+    /// Final values, read with synchronization.
+    pub(crate) fn values(&self) -> Vec<i64> {
+        self.vars
+            .iter()
+            .map(|v| match v {
+                NativeVar::Volatile(a) => a.load(Ordering::SeqCst),
+                NativeVar::Plain(c) => c.load_synced(),
+            })
+            .collect()
     }
 
-    pub(crate) fn try_lock_at(&self, me: ThreadId, lock: LockId, loc: Loc) -> bool {
-        let (got, nd) = {
-            let mut g = self.book.lock();
-            match g.model.lock_owner[lock.index()] {
-                None => {
-                    g.model.acquire_lock(me, lock);
-                    let nd = self.emit(&mut g, me, loc, Op::LockAcquire { lock });
-                    (true, nd)
-                }
-                Some(owner) if owner == me => {
-                    misuse(format!("thread {me} try_lock on lock it holds"))
-                }
-                Some(_) => {
-                    let nd = self.emit(&mut g, me, loc, Op::LockTryFail { lock });
-                    (false, nd)
-                }
+    /// Wait on `cv` (releasing the book) until what `st` waits for holds or
+    /// its wake time passes, publishing `st` meanwhile so the watchdog can
+    /// prove deadlocks. The wake predicate is the one the watchdog
+    /// evaluates, so the two always agree. Unwinds on abort.
+    pub(crate) fn block(&self, cv: &Condvar, g: &mut Guard<'_>, me: ThreadId, st: Status) {
+        loop {
+            g.check_abort();
+            let now = self.now_micros();
+            g.model.threads[me.index()].status = st;
+            let woke = matches!(st, Status::Blocked(r) if g.model.unblocked(me, r))
+                || g.model.wake_if_due(me, now);
+            if woke {
+                g.model.threads[me.index()].status = Status::Running;
+                return;
             }
-        };
-        self.apply_noise(nd);
-        got
-    }
-
-    pub(crate) fn unlock_at(&self, me: ThreadId, lock: LockId, loc: Loc) {
-        let nd = {
-            let mut g = self.book.lock();
-            if !g.model.release_lock(me, lock) {
-                misuse(format!(
-                    "thread {me} released {lock:?} which it does not hold"
-                ));
-            }
-            self.cv.notify_all();
-            self.emit(&mut g, me, loc, Op::LockRelease { lock })
-        };
-        self.apply_noise(nd);
-    }
-
-    pub(crate) fn wait_at(
-        &self,
-        me: ThreadId,
-        cond: CondId,
-        lock: LockId,
-        ticks: Option<u32>,
-        loc: Loc,
-    ) -> bool {
-        let (timed_out, nd) = {
-            let mut g = self.book.lock();
-            if g.model.lock_owner[lock.index()] != Some(me) {
-                misuse(format!(
-                    "thread {me} waits on {cond:?} without holding {lock:?}"
-                ));
-            }
-            let _ = self.emit(&mut g, me, loc, Op::CondWait { cond, lock });
-            assert!(g.model.release_lock(me, lock));
-            self.cv.notify_all();
-            g.model.cond_queues[cond.index()].push(me);
-            g.model.threads[me.index()].timed_out = false;
-            let deadline = ticks.map(|t| Instant::now() + NATIVE_TICK * t.max(1));
-            let reason = match ticks {
-                Some(t) => BlockReason::CondTimed(
-                    cond,
-                    lock,
-                    self.now_micros() + u64::from(t.max(1)) * 100,
-                ),
-                None => BlockReason::Cond(cond, lock),
+            let wait = match st {
+                Status::Sleeping(at) | Status::Blocked(BlockReason::CondTimed(_, _, at)) => {
+                    Duration::from_micros(at - now).min(POLL)
+                }
+                _ => POLL,
             };
-            // Notify removes the waiter from the queue; absence is the
-            // wake condition.
-            let notified = self.block_until(
-                &mut g,
-                me,
-                reason,
-                |b| !b.model.cond_queues[cond.index()].contains(&me),
-                deadline,
-            );
-            if !notified {
-                g.model.cond_queues[cond.index()].retain(|q| *q != me);
-                g.model.threads[me.index()].timed_out = true;
-            }
-            let timed_out = g.model.threads[me.index()].timed_out;
-            // Re-acquire the lock, competing with everyone else.
-            if g.model.lock_owner[lock.index()].is_some() {
-                self.block_until(
-                    &mut g,
-                    me,
-                    BlockReason::Lock(lock),
-                    |b| b.model.lock_owner[lock.index()].is_none(),
-                    None,
-                );
-            }
-            g.model.acquire_lock(me, lock);
-            let nd = self.emit(&mut g, me, loc, Op::CondWake { cond, lock });
-            (timed_out, nd)
-        };
-        self.apply_noise(nd);
-        !timed_out
+            let _ = cv.wait_for(g, wait);
+        }
     }
 
-    pub(crate) fn notify_at(&self, me: ThreadId, cond: CondId, all: bool, loc: Loc) {
-        let nd = {
-            let mut g = self.book.lock();
-            if all {
-                let woken: Vec<ThreadId> = g.model.cond_queues[cond.index()].drain(..).collect();
-                for t in woken {
-                    g.model.threads[t.index()].timed_out = false;
-                }
-            } else if !g.model.cond_queues[cond.index()].is_empty() {
-                let t = g.model.cond_queues[cond.index()].remove(0);
-                g.model.threads[t.index()].timed_out = false;
-            }
-            self.cv.notify_all();
-            self.emit(&mut g, me, loc, Op::CondNotify { cond, all })
-        };
-        self.apply_noise(nd);
-    }
-
-    pub(crate) fn sem_acquire_at(&self, me: ThreadId, sem: SemId, loc: Loc) {
-        let nd = {
-            let mut g = self.book.lock();
-            if g.model.sem_permits[sem.index()] == 0 {
-                let _ = self.emit(&mut g, me, loc, Op::SemRequest { sem });
-                self.block_until(
-                    &mut g,
-                    me,
-                    BlockReason::Sem(sem),
-                    |b| b.model.sem_permits[sem.index()] > 0,
-                    None,
-                );
-            }
-            g.model.sem_permits[sem.index()] -= 1;
-            self.emit(&mut g, me, loc, Op::SemAcquire { sem })
-        };
-        self.apply_noise(nd);
-    }
-
-    pub(crate) fn sem_release_at(&self, me: ThreadId, sem: SemId, loc: Loc) {
-        let nd = {
-            let mut g = self.book.lock();
-            g.model.sem_permits[sem.index()] += 1;
-            self.cv.notify_all();
-            self.emit(&mut g, me, loc, Op::SemRelease { sem })
-        };
-        self.apply_noise(nd);
-    }
-
-    pub(crate) fn barrier_wait_at(&self, me: ThreadId, barrier: BarrierId, loc: Loc) {
-        let nd = {
-            let mut g = self.book.lock();
-            g.model.barrier_arrived[barrier.index()].push(me);
-            let _ = self.emit(&mut g, me, loc, Op::BarrierArrive { barrier });
-            let full = g.model.barrier_arrived[barrier.index()].len() as u32
-                == g.model.barrier_parties[barrier.index()];
-            if full {
-                // Departure = removal from the arrival list; waiters pass
-                // when they no longer find themselves in it.
-                g.model.barrier_arrived[barrier.index()].clear();
-                self.cv.notify_all();
+    /// The watchdog, run on the calling thread once the main thread is
+    /// registered: enforce the wall budget, poll for provable deadlocks,
+    /// then wait for live threads to drain and join them. Threads stuck in
+    /// uninstrumented compute loops cannot be interrupted and are detached
+    /// after a grace period (their next instrumented operation unwinds).
+    pub(crate) fn watch(&self, rt: &Rt, mut g: Guard<'_>) {
+        let budget = g.opts.wall_budget.unwrap_or(DEFAULT_NATIVE_BUDGET);
+        while !(g.completed || g.abort.is_some()) {
+            if self.start.elapsed() >= budget {
+                rt.raise_abort(&mut g, OutcomeKind::StepLimit);
+            } else if deadlocked(&g) {
+                let info = g.model.deadlock_info();
+                rt.raise_abort(&mut g, OutcomeKind::Deadlock(info));
             } else {
-                self.block_until(
-                    &mut g,
-                    me,
-                    BlockReason::Barrier(barrier),
-                    |b| !b.model.barrier_arrived[barrier.index()].contains(&me),
-                    None,
-                );
+                let _ = rt.cv.wait_for(&mut g, POLL);
             }
-            self.emit(&mut g, me, loc, Op::BarrierPass { barrier })
-        };
-        self.apply_noise(nd);
-    }
-
-    pub(crate) fn spawn_at(
-        self: &Arc<Self>,
-        me: ThreadId,
-        name: String,
-        body: Box<dyn FnOnce(&mut ThreadCtx) + Send>,
-        loc: Loc,
-    ) -> ThreadId {
-        let (child, nd) = {
-            let mut g = self.book.lock();
-            if g.model.threads.len() as u32 >= g.opts.max_threads {
-                misuse(format!(
-                    "thread limit ({}) exceeded — runaway spawn loop?",
-                    g.opts.max_threads
-                ));
-            }
-            let child = ThreadId(g.model.threads.len() as u32);
-            g.model.threads.push(ThreadState::new(name));
-            g.stats.threads += 1;
-            g.live += 1;
-            let rt2 = Arc::clone(self);
-            let handle = std::thread::Builder::new()
-                .name(format!("mtt-n-{}", child.0))
-                .spawn(move || native_thread_main(rt2, child, body))
-                .expect("failed to spawn native thread");
-            g.os_handles.push(handle);
-            let nd = self.emit(&mut g, me, loc, Op::Spawn { child });
-            (child, nd)
-        };
-        self.apply_noise(nd);
-        child
-    }
-
-    pub(crate) fn join_at(&self, me: ThreadId, target: ThreadId, loc: Loc) {
-        if target == me {
-            misuse(format!("thread {me} joining itself"));
         }
-        let nd = {
-            let mut g = self.book.lock();
-            if target.index() >= g.model.threads.len() {
-                misuse(format!("join on unknown thread {target}"));
-            }
-            if g.model.threads[target.index()].status != Status::Finished {
-                let _ = self.emit(&mut g, me, loc, Op::JoinRequest { target });
-                self.block_until(
-                    &mut g,
-                    me,
-                    BlockReason::Join(target),
-                    |b| b.model.threads[target.index()].status == Status::Finished,
-                    None,
-                );
-            }
-            self.emit(&mut g, me, loc, Op::Join { target })
-        };
-        self.apply_noise(nd);
-    }
-
-    pub(crate) fn yield_at(&self, me: ThreadId, loc: Loc) {
-        let nd = {
-            let mut g = self.book.lock();
-            self.emit(&mut g, me, loc, Op::Yield)
-        };
-        std::thread::yield_now();
-        self.apply_noise(nd);
-    }
-
-    pub(crate) fn sleep_at(&self, me: ThreadId, ticks: u32, loc: Loc) {
-        let wake = self.now_micros() + u64::from(ticks.max(1)) * 100;
-        {
-            let mut g = self.book.lock();
-            let _ = self.emit(&mut g, me, loc, Op::Sleep { ticks });
-            g.model.threads[me.index()].status = Status::Sleeping(wake);
+        rt.cv.notify_all();
+        let grace_deadline = Instant::now() + TEARDOWN_GRACE;
+        while g.live > 0 && Instant::now() < grace_deadline {
+            let _ = rt.cv.wait_for(&mut g, POLL);
         }
-        self.interruptible_sleep(NATIVE_TICK * ticks.max(1));
-        let mut g = self.book.lock();
-        g.model.threads[me.index()].status = Status::Running;
-    }
-
-    pub(crate) fn point_at(&self, me: ThreadId, label: &str, loc: Loc) {
-        let nd = {
-            let mut g = self.book.lock();
-            let li = g.intern_label(label);
-            self.emit(&mut g, me, loc, Op::Point { label: li })
-        };
-        self.apply_noise(nd);
-    }
-
-    pub(crate) fn check_at(&self, me: ThreadId, label: &str, loc: Loc) {
-        let nd = {
-            let mut g = self.book.lock();
-            let li = g.intern_label(label);
-            if g.stats.first_failure_step.is_none() {
-                g.stats.first_failure_step = Some(g.stats.sched_points);
+        let handles = std::mem::take(&mut g.os_handles);
+        let all_exited = g.live == 0;
+        drop(g);
+        if all_exited {
+            for h in handles {
+                let _ = h.join();
             }
-            g.assert_failures.push(AssertFailure {
-                thread: me,
-                label: label.to_string(),
-                loc,
-            });
-            let nd = self.emit(&mut g, me, loc, Op::AssertFail { label: li });
-            if g.opts.stop_on_assert {
-                self.raise_abort(&mut g, OutcomeKind::AssertStop);
-                panic::panic_any(AbortToken);
-            }
-            nd
-        };
-        self.apply_noise(nd);
-    }
-
-    pub(crate) fn program_seed(&self) -> u64 {
-        self.book.lock().opts.program_seed
+        } // else dropping the handles detaches the stragglers
     }
 }
 
 /// Is every live thread provably stuck? Evaluated under the book lock, so
 /// the snapshot is consistent; each blocked thread's wake condition is the
-/// same predicate its `block_until` call polls, which makes this check
-/// exact: if it holds, no thread can ever run again (only a running thread
-/// could satisfy any of the conditions, and timed waits — the one
-/// self-waking reason — are excluded).
-fn native_deadlocked(b: &NBook) -> bool {
+/// same predicate its `block` call polls, which makes this check exact: if
+/// it holds, no thread can ever run again (only a running thread could
+/// satisfy any of the conditions, and timed waits — the one self-waking
+/// reason — are excluded).
+fn deadlocked(b: &crate::exec::Book) -> bool {
     let mut any_blocked = false;
     for (i, t) in b.model.threads.iter().enumerate() {
-        let tid = ThreadId(i as u32);
         match t.status {
             Status::Finished => {}
-            Status::Blocked(reason) => {
-                any_blocked = true;
-                let stuck = match reason {
-                    BlockReason::Lock(l) => b.model.lock_owner[l.index()].is_some(),
-                    BlockReason::Cond(c, _) => b.model.cond_queues[c.index()].contains(&tid),
-                    BlockReason::CondTimed(_, _, _) => false, // wakes itself
-                    BlockReason::Sem(s) => b.model.sem_permits[s.index()] == 0,
-                    BlockReason::Barrier(bar) => {
-                        b.model.barrier_arrived[bar.index()].contains(&tid)
-                    }
-                    BlockReason::Join(target) => {
-                        b.model.threads[target.index()].status != Status::Finished
-                    }
-                };
-                if !stuck {
-                    return false;
-                }
-            }
-            // Ready (spawned, not yet started), Running, or Sleeping:
-            // progress is still possible.
+            Status::Blocked(BlockReason::CondTimed(..)) => return false,
+            Status::Blocked(r) if !b.model.unblocked(ThreadId(i as u32), r) => any_blocked = true,
+            // Ready (spawned, not yet started), Running, Sleeping, or about
+            // to see its condition hold: progress is still possible.
             _ => return false,
         }
     }
     any_blocked
-}
-
-/// Body run by each native OS thread.
-fn native_thread_main(
-    rt: Arc<NativeRt>,
-    me: ThreadId,
-    body: Box<dyn FnOnce(&mut ThreadCtx) + Send>,
-) {
-    let start_ok = {
-        let mut g = rt.book.lock();
-        if g.abort.is_some() || rt.abort_flag.load(Ordering::Relaxed) {
-            false
-        } else {
-            g.model.threads[me.index()].status = Status::Running;
-            panic::catch_unwind(AssertUnwindSafe(|| {
-                let _ = rt.emit(&mut g, me, Loc::SYNTHETIC, Op::ThreadStart);
-            }))
-            .is_ok()
-        }
-    };
-    if start_ok {
-        let mut ctx = ThreadCtx::new_native(Arc::clone(&rt), me);
-        let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-        let mut g = rt.book.lock();
-        match result {
-            Ok(()) => {
-                if g.abort.is_none() {
-                    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-                        let _ = rt.emit(&mut g, me, Loc::SYNTHETIC, Op::ThreadExit);
-                    }));
-                }
-                g.model.threads[me.index()].status = Status::Finished;
-                g.model.finish_order.push(me);
-                if g.model.all_finished() {
-                    g.completed = true;
-                }
-            }
-            Err(payload) => {
-                if !payload.is::<AbortToken>() {
-                    let message = if let Some(m) = payload.downcast_ref::<ModelMisuse>() {
-                        m.0.clone()
-                    } else if let Some(s) = payload.downcast_ref::<&str>() {
-                        (*s).to_string()
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        s.clone()
-                    } else {
-                        "non-string panic payload".to_string()
-                    };
-                    g.do_abort(OutcomeKind::ThreadPanic {
-                        thread: me,
-                        message,
-                    });
-                    rt.abort_flag.store(true, Ordering::Release);
-                }
-            }
-        }
-        g.live -= 1;
-        rt.cv.notify_all();
-    } else {
-        let mut g = rt.book.lock();
-        g.live -= 1;
-        rt.cv.notify_all();
-    }
-}
-
-/// Run `program` on real OS threads. The watchdog runs on the calling
-/// thread: it enforces the wall budget (mapping exhaustion to
-/// [`OutcomeKind::StepLimit`]) and polls for provable deadlocks. The
-/// configured scheduler is never consulted.
-pub(crate) fn run_native(
-    program: &Program,
-    noise: Box<dyn NoiseMaker>,
-    sinks: Vec<Box<dyn EventSink>>,
-    sink_filter: ResolvedFilter,
-    noise_filter: ResolvedFilter,
-    opts: ExecutionOptions,
-) -> Outcome {
-    install_quiet_hook();
-    let started = Instant::now();
-    let var_table = program.var_table();
-    let vars: Vec<NativeVar> = program
-        .vars()
-        .iter()
-        .map(|v| {
-            if v.volatile {
-                NativeVar::Volatile(AtomicI64::new(v.init))
-            } else {
-                NativeVar::Plain(RaceCell::new(v.init))
-            }
-        })
-        .collect();
-    let budget = opts.wall_budget.unwrap_or(DEFAULT_NATIVE_BUDGET);
-    let book = NBook {
-        model: ModelState::for_program(program),
-        noise,
-        sinks,
-        sink_filter,
-        noise_filter,
-        opts,
-        stats: ExecStats::default(),
-        abort: None,
-        completed: false,
-        live: 0,
-        os_handles: Vec::new(),
-        labels: Vec::new(),
-        label_idx: HashMap::new(),
-        assert_failures: Vec::new(),
-        torn: BTreeMap::new(),
-        scratch_runnable: Vec::new(),
-    };
-    let rt = Arc::new(NativeRt {
-        vars,
-        book: Mutex::new(book),
-        cv: Condvar::new(),
-        seq: AtomicU64::new(0),
-        abort_flag: AtomicBool::new(false),
-        start: started,
-        rmw_lock: Mutex::new(()),
-    });
-
-    // Launch the main model thread.
-    {
-        let mut g = rt.book.lock();
-        g.model.threads.push(ThreadState::new("main".to_string()));
-        g.stats.threads = 1;
-        g.live = 1;
-        let entry = program.entry();
-        let rt2 = Arc::clone(&rt);
-        let handle = std::thread::Builder::new()
-            .name("mtt-n-main".to_string())
-            .spawn(move || native_thread_main(rt2, ThreadId::MAIN, Box::new(move |ctx| entry(ctx))))
-            .expect("failed to spawn native thread");
-        g.os_handles.push(handle);
-    }
-
-    // Watchdog loop.
-    {
-        let mut g = rt.book.lock();
-        loop {
-            if g.completed || g.abort.is_some() {
-                break;
-            }
-            if started.elapsed() >= budget {
-                rt.raise_abort(&mut g, OutcomeKind::StepLimit);
-                break;
-            }
-            if native_deadlocked(&g) {
-                let info = g.model.deadlock_info();
-                rt.raise_abort(&mut g, OutcomeKind::Deadlock(info));
-                break;
-            }
-            let _ = rt.cv.wait_for(&mut g, POLL);
-        }
-        if g.abort.is_some() {
-            rt.abort_flag.store(true, Ordering::Release);
-        }
-        rt.cv.notify_all();
-    }
-
-    // Teardown: wait for live threads to drain, then join; threads stuck in
-    // uninstrumented compute loops cannot be interrupted and are detached
-    // after the grace period (their next instrumented operation unwinds).
-    let grace_deadline = Instant::now() + TEARDOWN_GRACE;
-    let handles = {
-        let mut g = rt.book.lock();
-        while g.live > 0 && Instant::now() < grace_deadline {
-            let _ = rt.cv.wait_for(&mut g, POLL);
-        }
-        std::mem::take(&mut g.os_handles)
-    };
-    let all_exited = rt.book.lock().live == 0;
-    if all_exited {
-        for h in handles {
-            let _ = h.join();
-        }
-    } else {
-        drop(handles); // detach stragglers; abort_flag stops their next op
-    }
-
-    // Assemble the outcome.
-    let mut g = rt.book.lock();
-    for s in &mut g.sinks {
-        s.finish();
-    }
-    let kind = g.abort.take().unwrap_or(OutcomeKind::Completed);
-    let mut assert_failures = g.assert_failures.clone();
-    for (var, obs) in &g.torn {
-        assert_failures.push(AssertFailure {
-            thread: obs.thread,
-            label: format!("race:torn-read:{}", var_table.name(VarId(*var))),
-            loc: obs.loc,
-        });
-    }
-    g.stats.virtual_time = rt.now_micros();
-    g.stats.wall = started.elapsed();
-    Outcome {
-        program: g.model.program_name.clone(),
-        kind,
-        final_vars: rt.vars.iter().map(NativeVar::load_synced).collect(),
-        var_table,
-        finish_order: g.model.finish_order.clone(),
-        thread_names: g.model.threads.iter().map(|t| t.name.clone()).collect(),
-        assert_failures,
-        stats: g.stats.clone(),
-    }
 }

@@ -1,8 +1,8 @@
 //! Crate-private model state: variables, locks, condition variables,
 //! semaphores, barriers and thread records.
 //!
-//! All mutation happens under the controller's mutex in `exec.rs`; nothing
-//! here synchronizes on its own. The model is deliberately simple — it is a
+//! All mutation happens under the execution's mutex in `exec.rs`, under
+//! either engine; nothing here synchronizes on its own. The model is deliberately simple — it is a
 //! *specification-level* shared memory, not an efficient one — because every
 //! operation is already serialized by the token-passing controller.
 
@@ -215,24 +215,41 @@ impl ModelState {
     /// timed waits. Returns how many threads woke.
     pub fn advance_time_to(&mut self, now: u64) -> usize {
         self.time = self.time.max(now);
-        let mut woke = 0;
-        for (i, t) in self.threads.iter_mut().enumerate() {
-            match t.status {
-                Status::Sleeping(at) if at <= now => {
-                    t.status = Status::Ready;
-                    woke += 1;
-                }
-                Status::Blocked(BlockReason::CondTimed(c, _, at)) if at <= now => {
-                    t.status = Status::Ready;
-                    t.timed_out = true;
-                    woke += 1;
-                    let tid = ThreadId(i as u32);
-                    self.cond_queues[c.index()].retain(|q| *q != tid);
-                }
-                _ => {}
+        (0..self.threads.len())
+            .filter(|&i| self.wake_if_due(ThreadId(i as u32), now))
+            .count()
+    }
+
+    /// Wake `tid` if it sleeps, or waits with a deadline, until `now` or
+    /// earlier; a timed-out wait leaves its condition queue. Returns
+    /// whether it woke.
+    pub fn wake_if_due(&mut self, tid: ThreadId, now: u64) -> bool {
+        let t = &mut self.threads[tid.index()];
+        match t.status {
+            Status::Sleeping(at) if at <= now => {}
+            Status::Blocked(BlockReason::CondTimed(c, _, at)) if at <= now => {
+                t.timed_out = true;
+                self.cond_queues[c.index()].retain(|q| *q != tid);
             }
+            _ => return false,
         }
-        woke
+        self.threads[tid.index()].status = Status::Ready;
+        true
+    }
+
+    /// The wake condition of `me`, blocked for `reason`. Every model wake
+    /// path makes it true before it marks the thread Ready; the native
+    /// engine polls it, and its watchdog proves deadlocks with it.
+    pub fn unblocked(&self, me: ThreadId, reason: BlockReason) -> bool {
+        match reason {
+            BlockReason::Lock(l) => self.lock_owner[l.index()].is_none(),
+            BlockReason::Cond(c, _) | BlockReason::CondTimed(c, _, _) => {
+                !self.cond_queues[c.index()].contains(&me)
+            }
+            BlockReason::Sem(s) => self.sem_permits[s.index()] > 0,
+            BlockReason::Barrier(b) => !self.barrier_arrived[b.index()].contains(&me),
+            BlockReason::Join(t) => self.threads[t.index()].status == Status::Finished,
+        }
     }
 
     /// True when every thread has finished.

@@ -505,27 +505,6 @@ fn stop_on_assert_aborts_early() {
 }
 
 #[test]
-fn model_misuse_is_a_thread_panic_outcome() {
-    let mut b = ProgramBuilder::new("misuse");
-    let l = b.lock("l");
-    b.entry(move |ctx| {
-        ctx.unlock(l); // never acquired
-    });
-    let p = b.build();
-    let o = Execution::new(&p).run();
-    match o.kind {
-        OutcomeKind::ThreadPanic {
-            thread,
-            ref message,
-        } => {
-            assert_eq!(thread, ThreadId::MAIN);
-            assert!(message.contains("does not hold"), "{message}");
-        }
-        ref k => panic!("expected ThreadPanic, got {k:?}"),
-    }
-}
-
-#[test]
 fn program_panic_is_captured() {
     let mut b = ProgramBuilder::new("panics");
     b.entry(|_ctx| panic!("intentional test panic"));

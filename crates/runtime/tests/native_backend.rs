@@ -6,7 +6,10 @@
 //! belongs to the model backend alone.
 
 use mtt_instrument::{shared, CountingSink, VecSink};
-use mtt_runtime::{Execution, NoiseDecision, Program, ProgramBuilder, RuntimeBackend};
+use mtt_runtime::{
+    CondId, Execution, ExecutionOptions, LockId, NoiseDecision, OutcomeKind, Program,
+    ProgramBuilder, RuntimeBackend, ThreadCtx, ThreadId,
+};
 use std::time::{Duration, Instant};
 
 fn native(program: &Program) -> Execution<'_> {
@@ -267,17 +270,123 @@ fn native_sem_and_barrier() {
     assert_eq!(o.var("total"), Some(20), "semaphore must serialize updates");
 }
 
-/// Model-API misuse is a ThreadPanic outcome under the native engine too.
+/// Model-API misuse is the same `ThreadPanic`, with the same message, under
+/// both engines: one table of misuse programs, each run on each backend.
 #[test]
-fn native_misuse_is_thread_panic() {
-    let mut b = ProgramBuilder::new("native_misuse");
+fn misuse_is_the_same_thread_panic_on_both_backends() {
+    type Body = fn(&mut ThreadCtx, LockId, CondId);
+    let cases: [(&str, Body, u32, &str); 7] = [
+        (
+            "recursive lock",
+            |ctx, l, _| {
+                ctx.lock(l);
+                ctx.lock(l);
+            },
+            512,
+            "thread 0 locked LockId(0) recursively (model mutexes are non-reentrant)",
+        ),
+        (
+            "unlock not held",
+            |ctx, l, _| ctx.unlock(l),
+            512,
+            "thread 0 released LockId(0) which it does not hold",
+        ),
+        (
+            "try_lock on held lock",
+            |ctx, l, _| {
+                ctx.lock(l);
+                ctx.try_lock(l);
+            },
+            512,
+            "thread 0 try_lock on lock it holds",
+        ),
+        (
+            "wait without the lock",
+            |ctx, l, c| ctx.wait(c, l),
+            512,
+            "thread 0 waits on CondId(0) without holding LockId(0)",
+        ),
+        (
+            "join self",
+            |ctx, _, _| ctx.join(ctx.id()),
+            512,
+            "thread 0 joining itself",
+        ),
+        (
+            "join unknown thread",
+            |ctx, _, _| ctx.join(ThreadId(7)),
+            512,
+            "join on unknown thread 7",
+        ),
+        (
+            "max_threads exceeded",
+            |ctx, _, _| {
+                ctx.spawn("child", |_| {});
+            },
+            1,
+            "thread limit (1) exceeded — runaway spawn loop?",
+        ),
+    ];
+    for (case, body, max_threads, expected) in cases {
+        let mut b = ProgramBuilder::new("misuse");
+        let l = b.lock("l");
+        let c = b.cond("c");
+        b.entry(move |ctx| body(ctx, l, c));
+        let p = b.build();
+        for backend in [RuntimeBackend::Model, RuntimeBackend::Native] {
+            let opts = ExecutionOptions {
+                max_threads,
+                backend,
+                wall_budget: Some(Duration::from_secs(5)),
+                ..ExecutionOptions::default()
+            };
+            let o = Execution::new(&p).options(opts).run();
+            match &o.kind {
+                OutcomeKind::ThreadPanic { thread, message } => {
+                    assert_eq!(*thread, ThreadId::MAIN, "{case} on {backend}");
+                    assert_eq!(message, expected, "{case} on {backend}");
+                }
+                k => panic!("{case} on {backend}: expected ThreadPanic, got {k:?}"),
+            }
+        }
+    }
+}
+
+/// Both engines apply, and count, a noise decision at the same events:
+/// `ThreadStart` and each operation's final event — never at a lock or
+/// join request, a cond wait, or a thread exit. With a noise maker that
+/// always yields, `forced_yields` is then equal under both backends for a
+/// program whose operation sequence does not depend on the interleaving.
+#[test]
+fn noise_is_counted_at_the_same_events_on_both_backends() {
+    let mut b = ProgramBuilder::new("noise_parity");
+    let flag = b.var("flag", 0);
     let l = b.lock("l");
+    let c = b.cond("c");
     b.entry(move |ctx| {
-        ctx.unlock(l); // never held
+        ctx.lock(l);
+        // The child cannot take `l` until this thread waits, so it always
+        // contends for the lock and this thread always waits exactly once.
+        let child = ctx.spawn("notifier", move |ctx| {
+            ctx.lock(l);
+            ctx.write(flag, 1);
+            ctx.notify(c);
+            ctx.unlock(l);
+        });
+        while ctx.read(flag) == 0 {
+            ctx.wait(c, l);
+        }
+        ctx.unlock(l);
+        ctx.join(child);
     });
     let p = b.build();
-    let o = native(&p).run();
-    assert_eq!(o.kind.tag(), "panic");
+    let always_yield = || Box::new(|_: &mtt_instrument::Event, _: &_| NoiseDecision::Yield);
+    let model = Execution::new(&p).noise(always_yield()).run();
+    let nat = native(&p).noise(always_yield()).run();
+    assert!(model.ok() && nat.ok(), "{model:?} {nat:?}");
+    assert_eq!(model.stats.forced_yields, 13);
+    assert_eq!(nat.stats.forced_yields, model.stats.forced_yields);
+    assert_eq!(nat.stats.noise_injections, model.stats.noise_injections);
 }
 
 /// Noise makers run natively (yields and real sleeps); the run still
