@@ -9,24 +9,27 @@
 //! blocking until a wait condition holds, what follows an op's final
 //! event, waking waiters, the variable store, and the clock.
 //!
-//! Under the **model** engine each program thread is an OS thread parked on
-//! the execution's condition variable. Exactly one thread holds the
-//! *execution token* (`ModelState::current`); at the end of each operation
-//! it applies the noise decision, asks the scheduler to pick the next token
-//! holder, wakes everyone, and parks until the token comes back. Because
-//! the mutex serializes all of this and only the token holder executes
-//! program code, an execution is a deterministic function of (program,
-//! scheduler decisions, noise decisions) — the foundation for replay and
-//! systematic exploration. The **native** engine runs the same operations
-//! on free-running OS threads (see [`crate::native`]).
+//! Under the **model** engine each program thread is an OS thread with its
+//! own wait slot, a condition variable used with the book mutex. Exactly
+//! one thread holds the *execution token* (`ModelState::current`); at the
+//! end of each operation it applies the noise decision and asks the
+//! scheduler to pick the next token holder. If the pick is itself, it
+//! carries on without waking anyone; otherwise it wakes the new holder's
+//! slot alone and parks on its own until the token comes back. The harness
+//! thread waits on [`Rt::cv`] and is woken only when the run completes or
+//! aborts. Because the mutex serializes all of this and only the token
+//! holder executes program code, an execution is a deterministic function
+//! of (program, scheduler decisions, noise decisions) — the foundation for
+//! replay and systematic exploration. The **native** engine runs the same
+//! operations on free-running OS threads (see [`crate::native`]).
 //!
 //! ## Abort protocol
 //!
 //! Deadlock, step-limit exhaustion, `stop_on_assert` and program panics
-//! all *abort* the execution: the cause is stored, every waiting thread is
-//! woken and unwinds with a private `AbortToken` panic payload (whose
-//! printing is suppressed by a process-wide hook), and the harness thread
-//! collects the [`Outcome`].
+//! all *abort* the execution: the cause is stored, the harness and every
+//! registered thread are woken, each thread unwinds with a private
+//! `AbortToken` panic payload (whose printing is suppressed by a
+//! process-wide hook), and the harness thread collects the [`Outcome`].
 
 use crate::ctx::ThreadCtx;
 use crate::native::{NativeEngine, NATIVE_TICK_US};
@@ -149,6 +152,9 @@ pub(crate) struct Book {
     scratch_runnable: Vec<ThreadId>,
     /// RNG driving spurious wakeups (None when the feature is off).
     spurious_rng: Option<ChaCha8Rng>,
+    /// Model engine: one wait slot per registered thread, indexed by id and
+    /// allocated as threads register (empty natively).
+    slots: Vec<Arc<Condvar>>,
 }
 
 impl Book {
@@ -338,14 +344,15 @@ impl Book {
 /// [`Rt`] match on it; the operations in [`ThreadCtx`] never do.
 pub(crate) enum Engine {
     /// Token passing: exactly one thread runs between scheduling points,
-    /// parked on [`Rt::cv`] otherwise; virtual time.
+    /// parked on its own wait slot otherwise; virtual time.
     Model,
     /// Real OS threads over a physical variable store; wall-clock time.
     Native(NativeEngine),
 }
 
 /// One execution: the shared book behind its mutex, the condition
-/// variable every waiting thread parks on, and the engine.
+/// variable the harness waits on (and, natively, every blocked thread),
+/// and the engine. Model threads park on their own slots in the book.
 pub(crate) struct Rt {
     pub mx: Mutex<Book>,
     pub cv: Condvar,
@@ -450,24 +457,52 @@ impl Rt {
         }
     }
 
-    /// Model engine: run one scheduling step, wake everyone and park until
-    /// the token returns to `me`.
+    /// Model engine: run one scheduling step, wake whom it concerns and
+    /// park until the token returns to `me`.
     fn pass_token(&self, g: &mut Guard<'_>, me: ThreadId, forced_yield: bool) {
         g.schedule_next(Some(me), forced_yield);
-        self.cv.notify_all();
+        self.wake_after_step(g, Some(me));
         self.park(g, me);
     }
 
-    /// Model engine: wait until `me` holds the token (or has finished).
-    /// Must be called with the guard held; returns with the guard held.
+    /// Model engine: the wake rule after a scheduling step triggered by
+    /// `prev`. An abort wakes the harness and every registered thread so
+    /// they unwind; completion wakes the harness; a token that moved wakes
+    /// its new holder's slot; a token that stayed with `prev` wakes no one.
+    fn wake_after_step(&self, g: &mut Book, prev: Option<ThreadId>) {
+        g.model.check_invariants();
+        if g.abort.is_some() {
+            self.wake_all(g);
+        } else if g.completed {
+            self.cv.notify_one();
+        } else if let Some(next) = g.model.current.filter(|&t| Some(t) != prev) {
+            g.stats.token_wakes += 1;
+            g.slots[next.index()].notify_one();
+        }
+    }
+
+    /// Wake the harness and every waiting thread.
+    fn wake_all(&self, g: &mut Book) {
+        self.cv.notify_all();
+        for slot in &g.slots {
+            slot.notify_one();
+        }
+        g.stats.token_wakes += g.slots.len() as u64;
+    }
+
+    /// Model engine: wait on `me`'s slot until `me` holds the token (or has
+    /// finished). Must be called with the guard held; returns with the
+    /// guard held.
     fn park(&self, g: &mut Guard<'_>, me: ThreadId) {
+        let mut slot = None;
         loop {
             g.check_abort();
             let st = g.model.threads[me.index()].status;
             if st == Status::Finished || (g.model.current == Some(me) && st == Status::Running) {
                 return;
             }
-            self.cv.wait(g);
+            slot.get_or_insert_with(|| Arc::clone(&g.slots[me.index()]))
+                .wait(g);
         }
     }
 
@@ -487,11 +522,11 @@ impl Rt {
         }
     }
 
-    /// Record an abort (first cause wins) and wake every waiting thread so
-    /// it unwinds.
+    /// Record an abort (first cause wins) and wake the harness and every
+    /// waiting thread so it unwinds.
     pub fn raise_abort(&self, g: &mut Book, kind: OutcomeKind) {
         g.do_abort(kind);
-        self.cv.notify_all();
+        self.wake_all(g);
     }
 
     /// Read `var` as `me` and lock the book. The model honours the thread's
@@ -571,7 +606,10 @@ impl Rt {
         g.stats.threads += 1;
         g.live += 1;
         let prefix = match self.engine {
-            Engine::Model => "mtt",
+            Engine::Model => {
+                g.slots.push(Arc::new(Condvar::new()));
+                "mtt"
+            }
             Engine::Native(_) => "mtt-n",
         };
         let os_name = if me == ThreadId::MAIN {
@@ -589,7 +627,8 @@ impl Rt {
     }
 
     /// `me`'s body returned: announce the exit, mark it finished, wake its
-    /// joiners and detect completion; the model hands the token on.
+    /// joiners and detect completion; the model hands the token on, or
+    /// wakes the harness when `me` was the last thread.
     fn exit_thread(&self, g: &mut Guard<'_>, me: ThreadId) {
         if g.abort.is_none() {
             // A native step-limit abort may fire here; the exit stands.
@@ -604,10 +643,12 @@ impl Rt {
                 t.status = Status::Ready;
             }
         }
-        if g.model.all_finished() {
-            g.completed = true;
-        } else if let Engine::Model = self.engine {
-            g.schedule_next(Some(me), false);
+        g.completed = g.model.all_finished();
+        if let Engine::Model = self.engine {
+            if !g.completed {
+                g.schedule_next(Some(me), false);
+            }
+            self.wake_after_step(g, Some(me));
         }
     }
 
@@ -617,12 +658,10 @@ impl Rt {
         match &self.engine {
             Engine::Model => {
                 g.schedule_next(None, false);
-                self.cv.notify_all();
+                self.wake_after_step(&mut g, None);
                 while !(g.completed || g.abort.is_some()) {
                     self.cv.wait(&mut g);
                 }
-                // In case of abort, make sure every parked thread re-checks.
-                self.cv.notify_all();
                 let handles = std::mem::take(&mut g.os_handles);
                 drop(g);
                 for h in handles {
@@ -720,7 +759,11 @@ fn thread_main(rt: Arc<Rt>, me: ThreadId, body: Box<dyn FnOnce(&mut ThreadCtx) +
         }
     }
     g.live -= 1;
-    rt.cv.notify_all();
+    // The native watchdog waits for live threads to drain; the model woke
+    // whom this thread's exit concerned in `exit_thread` or `raise_abort`.
+    if let Engine::Native(_) = rt.engine {
+        rt.cv.notify_all();
+    }
 }
 
 /// Builder-style handle for running one execution of a [`Program`].
@@ -872,6 +915,7 @@ impl<'p> Execution<'p> {
             torn: BTreeMap::new(),
             scratch_runnable: Vec::new(),
             spurious_rng,
+            slots: Vec::new(),
         };
         let rt = Arc::new(Rt {
             mx: Mutex::new(book),

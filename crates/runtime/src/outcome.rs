@@ -154,6 +154,11 @@ pub struct ExecStats {
     /// when the run stayed clean; step-limit exhaustion is a budget
     /// artifact, not a failure, and does not set it.
     pub first_failure_step: Option<u64>,
+    /// Times the model engine woke a thread's wait slot: once per token
+    /// handoff (the first one plus one per context switch) and once per
+    /// registered thread in each abort broadcast. Always 0 natively. Not
+    /// serialized, like `wall`: it describes the engine, not the schedule.
+    pub token_wakes: u64,
     /// Wall-clock duration of the run. Not serialized: wall time is not a
     /// property of the schedule and would break fingerprint stability.
     pub wall: Duration,

@@ -252,6 +252,24 @@ impl ModelState {
         }
     }
 
+    /// Debug builds: the token invariant that holds after every model
+    /// scheduling step — at most one thread is `Running`, and a `Running`
+    /// thread holds the token. Compiles to nothing in release builds.
+    pub fn check_invariants(&self) {
+        if cfg!(debug_assertions) {
+            let mut running = (0..self.threads.len() as u32)
+                .map(ThreadId)
+                .filter(|t| self.threads[t.index()].status == Status::Running);
+            let first = running.next();
+            debug_assert!(running.next().is_none(), "more than one thread is Running");
+            debug_assert!(
+                first.is_none() || first == self.current,
+                "Running thread {first:?} does not hold the token ({:?})",
+                self.current
+            );
+        }
+    }
+
     /// True when every thread has finished.
     pub fn all_finished(&self) -> bool {
         self.threads.iter().all(|t| t.status == Status::Finished)

@@ -3,8 +3,9 @@
 
 use mtt_instrument::{shared, CountingSink, OpClass, VecSink};
 use mtt_runtime::{
-    Execution, FifoScheduler, NoiseDecision, Op, Outcome, OutcomeKind, Program, ProgramBuilder,
-    RandomScheduler, RoundRobinScheduler, ThreadId,
+    CondId, Execution, ExecutionOptions, FifoScheduler, LockId, NoiseDecision, Op, Outcome,
+    OutcomeKind, Program, ProgramBuilder, RandomScheduler, RoundRobinScheduler, RuntimeBackend,
+    ThreadId,
 };
 
 /// Two unsynchronized increments: the canonical lost-update race.
@@ -787,4 +788,342 @@ fn spurious_wakeups_do_not_break_guarded_waits() {
             .run();
         assert!(o.ok(), "seed {seed}: {:?}", o.kind);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Token handoff: wake-up accounting and every abort path, bounded in time so
+// a lost wake-up fails the test instead of hanging the suite.
+// ---------------------------------------------------------------------------
+
+/// Locks, guarded condition waits and joins: `consumers` threads each take
+/// one item that the main thread produces under the lock.
+fn handoff_program(consumers: u32) -> Program {
+    let mut b = ProgramBuilder::new("handoff");
+    let items = b.var("items", 0);
+    let taken = b.var("taken", 0);
+    let l = b.lock("l");
+    let c = b.cond("c");
+    b.entry(move |ctx| {
+        let kids: Vec<ThreadId> = (0..consumers)
+            .map(|i| {
+                ctx.spawn(format!("consumer{i}"), move |ctx| {
+                    ctx.lock(l);
+                    while ctx.read(items) == 0 {
+                        ctx.wait(c, l);
+                    }
+                    let n = ctx.read(items);
+                    ctx.write(items, n - 1);
+                    let t = ctx.read(taken);
+                    ctx.write(taken, t + 1);
+                    ctx.unlock(l);
+                })
+            })
+            .collect();
+        for _ in 0..consumers {
+            ctx.lock(l);
+            let n = ctx.read(items);
+            ctx.write(items, n + 1);
+            ctx.notify(c);
+            ctx.unlock(l);
+        }
+        for k in kids {
+            ctx.join(k);
+        }
+    });
+    b.build()
+}
+
+#[test]
+fn token_wakes_one_per_handoff() {
+    // The model wakes a thread's slot only when the token moves to it: the
+    // first handoff to main plus one per context switch. Noise decisions
+    // that keep the token where it is must not wake anyone.
+    let programs = [racy_counter(3, 3), handoff_program(4), ab_ba_program()];
+    let sleepy = || {
+        Box::new(
+            |ev: &mtt_runtime::Event, _: &mtt_runtime::NoiseView| match ev.op {
+                Op::VarRead { .. } => NoiseDecision::Sleep(2),
+                _ if ev.seq.is_multiple_of(3) => NoiseDecision::Yield,
+                _ => NoiseDecision::None,
+            },
+        )
+    };
+    let mut completed = 0;
+    for p in &programs {
+        for seed in 0..8 {
+            let runs = [
+                Execution::new(p).scheduler(Box::new(FifoScheduler)).run(),
+                Execution::new(p)
+                    .scheduler(Box::new(RoundRobinScheduler::new()))
+                    .run(),
+                Execution::new(p)
+                    .scheduler(Box::new(RandomScheduler::sticky(seed, 0.9)))
+                    .run(),
+                Execution::new(p)
+                    .scheduler(Box::new(RandomScheduler::sticky(seed, 0.9)))
+                    .noise(sleepy())
+                    .run(),
+            ];
+            for o in runs {
+                if matches!(o.kind, OutcomeKind::Completed) {
+                    completed += 1;
+                    assert_eq!(
+                        o.stats.token_wakes,
+                        o.stats.context_switches + 1,
+                        "{} seed {seed}: {:?}",
+                        p.name(),
+                        o.stats
+                    );
+                }
+            }
+        }
+        let native = Execution::new(p)
+            .backend(RuntimeBackend::Native)
+            .noise(sleepy())
+            .run();
+        assert_eq!(native.stats.token_wakes, 0, "{}", p.name());
+    }
+    assert!(completed > 60, "only {completed} completed runs checked");
+}
+
+/// Run `build`'s program through `run` on a helper thread; fail after 30 s
+/// instead of hanging the suite on a lost wake-up.
+fn within_30s(what: &str, build: fn() -> Program, run: fn(&Program) -> Outcome) -> Outcome {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(run(&build()));
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("{what}: no outcome within 30 s (lost wake-up?)"))
+}
+
+/// Threads each abort-path test keeps parked.
+const PARKED: u32 = 12;
+
+/// Spawn [`PARKED`] threads that each take `l` and wait on `c` without a
+/// predicate loop; nobody notifies them.
+fn park_waiters(ctx: &mut mtt_runtime::ThreadCtx, l: LockId, c: CondId) -> Vec<ThreadId> {
+    (0..PARKED)
+        .map(|i| {
+            ctx.spawn(format!("w{i}"), move |ctx| {
+                ctx.lock(l);
+                ctx.wait(c, l);
+                ctx.unlock(l);
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn abort_on_deadlock_wakes_every_cond_waiter() {
+    let o = within_30s(
+        "deadlock",
+        || {
+            let mut b = ProgramBuilder::new("all_wait");
+            let l = b.lock("l");
+            let c = b.cond("c");
+            b.entry(move |ctx| {
+                for k in park_waiters(ctx, l, c) {
+                    ctx.join(k);
+                }
+            });
+            b.build()
+        },
+        |p| {
+            Execution::new(p)
+                .scheduler(Box::new(RoundRobinScheduler::new()))
+                .run()
+        },
+    );
+    assert!(o.deadlocked(), "{:?}", o.kind);
+    assert_eq!(o.stats.threads, PARKED + 1);
+}
+
+#[test]
+fn abort_on_step_limit_wakes_every_yielder() {
+    let o = within_30s(
+        "step limit",
+        || {
+            let mut b = ProgramBuilder::new("yielders");
+            let flag = b.var("flag", 0);
+            b.entry(move |ctx| {
+                let kids: Vec<ThreadId> = (0..PARKED)
+                    .map(|i| {
+                        ctx.spawn(format!("y{i}"), move |ctx| {
+                            while ctx.read(flag) == 0 {
+                                ctx.yield_now();
+                            }
+                        })
+                    })
+                    .collect();
+                for k in kids {
+                    ctx.join(k);
+                }
+            });
+            b.build()
+        },
+        |p| {
+            Execution::new(p)
+                .scheduler(Box::new(RoundRobinScheduler::new()))
+                .max_steps(3_000)
+                .run()
+        },
+    );
+    assert!(o.hung(), "{:?}", o.kind);
+}
+
+#[test]
+fn abort_on_stop_on_assert_wakes_every_waiter() {
+    let o = within_30s(
+        "stop_on_assert",
+        || {
+            let mut b = ProgramBuilder::new("assert_stop");
+            let l = b.lock("l");
+            let c = b.cond("c");
+            b.entry(move |ctx| {
+                park_waiters(ctx, l, c);
+                ctx.sleep(50); // every waiter parks first
+                ctx.check(false, "stop-here");
+            });
+            b.build()
+        },
+        |p| {
+            Execution::new(p)
+                .scheduler(Box::new(RoundRobinScheduler::new()))
+                .stop_on_assert(true)
+                .run()
+        },
+    );
+    assert!(matches!(o.kind, OutcomeKind::AssertStop), "{:?}", o.kind);
+}
+
+#[test]
+fn abort_on_program_panic_wakes_every_waiter() {
+    let o = within_30s(
+        "program panic",
+        || {
+            let mut b = ProgramBuilder::new("panic_with_waiters");
+            let l = b.lock("l");
+            let c = b.cond("c");
+            b.entry(move |ctx| {
+                park_waiters(ctx, l, c);
+                ctx.sleep(50);
+                panic!("intentional test panic");
+            });
+            b.build()
+        },
+        |p| {
+            Execution::new(p)
+                .scheduler(Box::new(RoundRobinScheduler::new()))
+                .run()
+        },
+    );
+    assert!(
+        matches!(o.kind, OutcomeKind::ThreadPanic { .. }),
+        "{:?}",
+        o.kind
+    );
+}
+
+#[test]
+fn spurious_wakeups_under_round_robin_complete() {
+    let o = within_30s(
+        "spurious wakeups",
+        || {
+            let mut b = ProgramBuilder::new("guarded_many");
+            let ready = b.var("ready", 0);
+            let l = b.lock("l");
+            let c = b.cond("c");
+            b.entry(move |ctx| {
+                let kids: Vec<ThreadId> = (0..PARKED)
+                    .map(|i| {
+                        ctx.spawn(format!("w{i}"), move |ctx| {
+                            ctx.lock(l);
+                            while ctx.read(ready) == 0 {
+                                ctx.wait(c, l);
+                            }
+                            ctx.unlock(l);
+                        })
+                    })
+                    .collect();
+                ctx.sleep(50);
+                ctx.lock(l);
+                ctx.write(ready, 1);
+                ctx.notify_all(c);
+                ctx.unlock(l);
+                for k in kids {
+                    ctx.join(k);
+                }
+            });
+            b.build()
+        },
+        |p| {
+            Execution::new(p)
+                .scheduler(Box::new(RoundRobinScheduler::new()))
+                .spurious_wakeups(0.3)
+                .run()
+        },
+    );
+    assert!(o.ok(), "{:?}", o.kind);
+    assert!(o.stats.spurious_wakeups > 0);
+    assert_eq!(o.stats.token_wakes, o.stats.context_switches + 1);
+}
+
+#[test]
+fn timed_waits_time_out_with_many_parked() {
+    let o = within_30s(
+        "timed waits",
+        || {
+            let mut b = ProgramBuilder::new("timed_many");
+            let timeouts = b.var("timeouts", 0);
+            let l = b.lock("l");
+            let c = b.cond("c");
+            b.entry(move |ctx| {
+                let kids: Vec<ThreadId> = (0..PARKED)
+                    .map(|i| {
+                        ctx.spawn(format!("t{i}"), move |ctx| {
+                            ctx.lock(l);
+                            if !ctx.timed_wait(c, l, 10 + i) {
+                                let n = ctx.read(timeouts);
+                                ctx.write(timeouts, n + 1);
+                            }
+                            ctx.unlock(l);
+                        })
+                    })
+                    .collect();
+                for k in kids {
+                    ctx.join(k);
+                }
+            });
+            b.build()
+        },
+        |p| {
+            Execution::new(p)
+                .scheduler(Box::new(RoundRobinScheduler::new()))
+                .run()
+        },
+    );
+    assert!(o.ok(), "{:?}", o.kind);
+    assert_eq!(o.var("timeouts"), Some(i64::from(PARKED)));
+    assert_eq!(o.stats.token_wakes, o.stats.context_switches + 1);
+}
+
+#[test]
+fn wake_slots_grow_with_registered_threads() {
+    // A huge thread cap must cost nothing: slots are allocated as threads
+    // register, never up front.
+    let p = racy_counter(2, 2);
+    let opts = ExecutionOptions {
+        max_threads: 1 << 24,
+        ..ExecutionOptions::default()
+    };
+    let started = std::time::Instant::now();
+    let o = Execution::new(&p).options(opts).run();
+    assert!(o.ok(), "{:?}", o.kind);
+    assert_eq!(o.stats.threads, 3);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(1),
+        "3-thread run took {:?}",
+        started.elapsed()
+    );
 }
