@@ -186,6 +186,11 @@ mod tests {
                 v
             })
         };
+        // Sample only once the writer has stored something; otherwise the
+        // samples can all finish before its first store.
+        while cell.get() == Racey::Consistent(0) {
+            std::thread::yield_now();
+        }
         let mut torn = 0u64;
         for _ in 0..200_000 {
             match cell.get() {

@@ -9,19 +9,20 @@
 //! blocking until a wait condition holds, what follows an op's final
 //! event, waking waiters, the variable store, and the clock.
 //!
-//! Under the **model** engine each program thread is an OS thread with its
-//! own wait slot, a condition variable used with the book mutex. Exactly
-//! one thread holds the *execution token* (`ModelState::current`); at the
-//! end of each operation it applies the noise decision and asks the
-//! scheduler to pick the next token holder. If the pick is itself, it
-//! carries on without waking anyone; otherwise it wakes the new holder's
-//! slot alone and parks on its own until the token comes back. The harness
-//! thread waits on [`Rt::cv`] and is woken only when the run completes or
-//! aborts. Because the mutex serializes all of this and only the token
-//! holder executes program code, an execution is a deterministic function
-//! of (program, scheduler decisions, noise decisions) — the foundation for
-//! replay and systematic exploration. The **native** engine runs the same
-//! operations on free-running OS threads (see [`crate::native`]).
+//! Under the **model** engine each program thread runs on a pooled OS
+//! worker (see `pool.rs`) and has its own wait slot, a condition variable
+//! used with the book mutex. Exactly one thread holds the *execution
+//! token* (`ModelState::current`); at the end of each operation it applies
+//! the noise decision and asks the scheduler to pick the next token
+//! holder. If the pick is itself, it carries on without waking anyone;
+//! otherwise it wakes the new holder's slot alone and parks on its own
+//! until the token comes back. The harness thread waits on [`Rt::cv`] and
+//! is woken only when the run completes or aborts. Because the mutex
+//! serializes all of this and only the token holder executes program code,
+//! an execution is a deterministic function of (program, scheduler
+//! decisions, noise decisions) — the foundation for replay and systematic
+//! exploration. The **native** engine runs the same operations on
+//! free-running OS threads (see [`crate::native`]).
 //!
 //! ## Abort protocol
 //!
@@ -35,6 +36,7 @@ use crate::ctx::ThreadCtx;
 use crate::native::{NativeEngine, NATIVE_TICK_US};
 use crate::noise::{NoNoise, NoiseDecision, NoiseMaker, NoiseView};
 use crate::outcome::{AssertFailure, ExecStats, Outcome, OutcomeKind};
+use crate::pool::{self, Done};
 use crate::program::Program;
 use crate::scheduler::{FifoScheduler, SchedView, Scheduler};
 use crate::state::{BlockReason, ModelState, Status, ThreadState};
@@ -48,7 +50,6 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Panic payload used to unwind threads when an execution aborts.
@@ -138,10 +139,10 @@ pub(crate) struct Book {
     pub stats: ExecStats,
     pub abort: Option<OutcomeKind>,
     pub completed: bool,
-    /// OS threads spawned and not yet returned from [`thread_main`]; the
+    /// Threads started and not yet returned from [`thread_main`]; the
     /// native teardown waits for this to drain.
     pub live: u32,
-    pub os_handles: Vec<JoinHandle<()>>,
+    pub os_handles: Vec<Done>,
     seq: u64,
     labels: Vec<String>,
     label_idx: HashMap<String, u32>,
@@ -594,7 +595,7 @@ impl Rt {
         g
     }
 
-    /// Register a thread running `body` and start its OS thread.
+    /// Register a thread running `body` and start it on a pooled worker.
     pub fn start_thread(
         self: &Arc<Self>,
         g: &mut Book,
@@ -605,24 +606,13 @@ impl Rt {
         g.model.threads.push(ThreadState::new(name));
         g.stats.threads += 1;
         g.live += 1;
-        let prefix = match self.engine {
-            Engine::Model => {
-                g.slots.push(Arc::new(Condvar::new()));
-                "mtt"
-            }
-            Engine::Native(_) => "mtt-n",
-        };
-        let os_name = if me == ThreadId::MAIN {
-            format!("{prefix}-main")
-        } else {
-            format!("{prefix}-{}", me.0)
-        };
+        if let Engine::Model = self.engine {
+            g.slots.push(Arc::new(Condvar::new()));
+        }
         let rt = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(os_name)
-            .spawn(move || thread_main(rt, me, body))
-            .expect("failed to spawn model thread");
-        g.os_handles.push(handle);
+        let done = pool::run(Box::new(move || thread_main(rt, me, body)));
+        g.stats.os_spawns += u32::from(done.spawned());
+        g.os_handles.push(done);
         me
     }
 
@@ -665,7 +655,7 @@ impl Rt {
                 let handles = std::mem::take(&mut g.os_handles);
                 drop(g);
                 for h in handles {
-                    let _ = h.join();
+                    h.wait();
                 }
             }
             Engine::Native(n) => n.watch(self, g),
@@ -720,7 +710,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Body run by each thread's OS thread, under either engine.
+/// Body run by each thread's pooled worker, under either engine.
 fn thread_main(rt: Arc<Rt>, me: ThreadId, body: Box<dyn FnOnce(&mut ThreadCtx) + Send>) {
     // Wait to be started (the model's first token), then announce
     // ThreadStart; an abort before that unwinds here.

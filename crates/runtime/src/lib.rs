@@ -11,10 +11,11 @@
 //! 3. the configured [`Scheduler`] chooses which model thread runs next.
 //!
 //! Exactly one model thread executes between scheduling points (each model
-//! thread is an OS thread, parked on a token-passing controller), so an
-//! execution is a *sequentially consistent interleaving* fully determined by
-//! the scheduler's decisions — the property that makes replay, noise
-//! injection and systematic state-space exploration possible at all.
+//! thread runs on a pooled OS worker, parked on a token-passing
+//! controller), so an execution is a *sequentially consistent
+//! interleaving* fully determined by the scheduler's decisions — the
+//! property that makes replay, noise injection and systematic state-space
+//! exploration possible at all.
 //!
 //! Intentional concurrency bugs (data races, deadlocks, atomicity
 //! violations, lost notifications) live in the **model**: a lost update is a
@@ -61,6 +62,7 @@ pub mod exec;
 mod native;
 pub mod noise;
 pub mod outcome;
+mod pool;
 pub mod program;
 pub mod scheduler;
 mod state;

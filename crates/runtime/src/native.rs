@@ -1,11 +1,11 @@
 //! The native-threads engine ([`crate::RuntimeBackend::Native`]).
 //!
-//! Program closures run on real `std::thread`s through the same
-//! [`crate::ThreadCtx`] operations as under the model engine: one op layer
-//! over the shared book (lock owners, condition queues, semaphore permits,
-//! barrier arrivals, thread statuses, events, noise, assertions), mutated
-//! under one `parking_lot` mutex. This module holds only the native side of
-//! the engine hooks:
+//! Program closures run on real OS threads (pooled workers, see
+//! `pool.rs`) through the same [`crate::ThreadCtx`] operations as under
+//! the model engine: one op layer over the shared book (lock owners,
+//! condition queues, semaphore permits, barrier arrivals, thread statuses,
+//! events, noise, assertions), mutated under one `parking_lot` mutex. This
+//! module holds only the native side of the engine hooks:
 //!
 //! * **Storage.** Shared variables live in real memory — volatile
 //!   variables in `SeqCst` atomics, non-volatile ones in
@@ -169,9 +169,10 @@ impl NativeEngine {
 
     /// The watchdog, run on the calling thread once the main thread is
     /// registered: enforce the wall budget, poll for provable deadlocks,
-    /// then wait for live threads to drain and join them. Threads stuck in
-    /// uninstrumented compute loops cannot be interrupted and are detached
-    /// after a grace period (their next instrumented operation unwinds).
+    /// then wait for live threads to drain and their jobs to end. Threads
+    /// stuck in uninstrumented compute loops cannot be interrupted and are
+    /// detached after a grace period (their next instrumented operation
+    /// unwinds; the worker then returns to the pool).
     pub(crate) fn watch(&self, rt: &Rt, mut g: Guard<'_>) {
         let budget = g.opts.wall_budget.unwrap_or(DEFAULT_NATIVE_BUDGET);
         while !(g.completed || g.abort.is_some()) {
@@ -194,7 +195,7 @@ impl NativeEngine {
         drop(g);
         if all_exited {
             for h in handles {
-                let _ = h.join();
+                h.wait();
             }
         } // else dropping the handles detaches the stragglers
     }

@@ -159,6 +159,11 @@ pub struct ExecStats {
     /// registered thread in each abort broadcast. Always 0 natively. Not
     /// serialized, like `wall`: it describes the engine, not the schedule.
     pub token_wakes: u64,
+    /// OS threads this run had to create: threads that found no idle
+    /// pooled worker (see `pool.rs`). 0 when every thread reused one. Not
+    /// serialized, like `token_wakes`: it depends on what ran before in
+    /// the same process, not on the schedule.
+    pub os_spawns: u32,
     /// Wall-clock duration of the run. Not serialized: wall time is not a
     /// property of the schedule and would break fingerprint stability.
     pub wall: Duration,

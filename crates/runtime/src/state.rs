@@ -9,7 +9,7 @@
 use crate::outcome::{DeadlockInfo, WaitEdge};
 use crate::program::{Program, VarSpec};
 use mtt_instrument::{BarrierId, CondId, LockId, ThreadId, VarId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Why a thread cannot run.
@@ -279,8 +279,9 @@ impl ModelState {
     pub fn deadlock_info(&self) -> DeadlockInfo {
         let mut waiting = Vec::new();
         // thread -> thread edges where the waited-for resource has a unique
-        // owner (locks, joins); used for cycle detection.
-        let mut edge: HashMap<ThreadId, ThreadId> = HashMap::new();
+        // owner (locks, joins); used for cycle detection. Ordered, so the
+        // reported cycle starts at the same thread in every run.
+        let mut edge: BTreeMap<ThreadId, ThreadId> = BTreeMap::new();
         for (i, t) in self.threads.iter().enumerate() {
             let tid = ThreadId(i as u32);
             let reason = match t.status {

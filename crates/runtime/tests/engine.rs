@@ -7,6 +7,8 @@ use mtt_runtime::{
     OutcomeKind, Program, ProgramBuilder, RandomScheduler, RoundRobinScheduler, RuntimeBackend,
     ThreadId,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Two unsynchronized increments: the canonical lost-update race.
 fn racy_counter(increments_per_thread: u32, threads: u32) -> Program {
@@ -1126,4 +1128,55 @@ fn wake_slots_grow_with_registered_threads() {
         "3-thread run took {:?}",
         started.elapsed()
     );
+}
+
+/// A sink that keeps an `Arc` alive and raises a flag when dropped.
+struct DropFlag(Arc<AtomicBool>);
+
+impl mtt_instrument::EventSink for DropFlag {
+    fn on_event(&mut self, _: &mtt_runtime::Event) {}
+}
+
+impl Drop for DropFlag {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn nothing_outlives_run() {
+    // Once `run` returns, no worker may still hold the execution (and with
+    // it the sinks), however the run ended and on either engine.
+    let panics_with_waiters = {
+        let mut b = ProgramBuilder::new("panic_with_waiters");
+        let l = b.lock("l");
+        let c = b.cond("c");
+        b.entry(move |ctx| {
+            park_waiters(ctx, l, c);
+            ctx.sleep(50);
+            panic!("intentional test panic");
+        });
+        b.build()
+    };
+    let cases = [
+        (racy_counter(3, 3), RuntimeBackend::Model, "completed"),
+        (ab_ba_program(), RuntimeBackend::Model, "deadlock"),
+        (panics_with_waiters, RuntimeBackend::Model, "panic"),
+        (racy_counter(3, 3), RuntimeBackend::Native, "completed"),
+    ];
+    for (p, backend, tag) in cases {
+        let flag = Arc::new(AtomicBool::new(false));
+        let o = Execution::new(&p)
+            .scheduler(Box::new(RoundRobinScheduler::new()))
+            .backend(backend)
+            .sink(Box::new(DropFlag(Arc::clone(&flag))))
+            .run();
+        assert_eq!(o.kind.tag(), tag, "{} on {backend:?}", p.name());
+        assert!(
+            flag.load(Ordering::SeqCst),
+            "{}: sink not dropped",
+            p.name()
+        );
+        assert_eq!(Arc::strong_count(&flag), 1, "{}", p.name());
+    }
 }
