@@ -3,224 +3,67 @@
 //! "All the machinery will be in place so that with the push of a button,
 //! it can be evaluated and compared to alternative approaches" (§4).
 //!
-//! ```text
-//! mtt list                      list benchmark programs and their bugs
-//! mtt lint <sample|file> [--json] [--deny IDS] [--allow IDS]
-//!                               static diagnostics for a MiniProg program;
-//!                               --deny exits 3 when a denied lint fires,
-//!                               --allow suppresses listed codes (`all` ok)
-//! mtt run <program> [seed]      run one program once and print the outcome
-//! mtt trace <program> <n> <dir> generate n annotated traces into dir
-//! mtt explain <program> [--seed-fail N] [--seed-pass N] [--timeline]
-//!             [--diff] [--annotate FILE] [--scan N] [--csv] [--tool SPEC]
-//!                               causal post-mortem: happens-before timeline
-//!                               of a failing run + schedule diff against a
-//!                               passing run (divergence window)
-//! mtt e1 [runs]                 noise-heuristic comparison
-//! mtt e1-detail <program> [runs] per-bug find probability for one program
-//! mtt cloning [runs]            §2.3 cloning/load-test driver
-//! mtt e2 [traces]               race detectors on annotated traces
-//! mtt e3 [attempts]             replay success vs drift
-//! mtt e4 <program> [runs]       coverage growth + run-count advice
-//! mtt e5 [runs]                 multiout outcome distributions
-//! mtt e6 [budget]               exploration vs random testing
-//! mtt e7 [runs]                 static advice: reduction + preservation
-//! mtt e8 [seed]                 online/offline trade-off
-//! mtt e10 [--seed S] [--families N] [--runs R] [--csv|--json]
-//!                               precision/recall + robust detection over
-//!                               generated variant families with planted
-//!                               ground truth (full TP/FP/FN/TN matrix)
-//! mtt gen <list|describe <family>|dump <family|member>> [--seed S] [--families N]
-//!                               inspect the generated population: list
-//!                               family ids, describe a family's members
-//!                               and mutations, dump MiniProg source
-//! mtt e11 [runs] [--csv|--json] static vs dynamic scoreboard: per-class
-//!                               precision/recall of L001–L007 + R/D/A001
-//!                               against the dynamic detector roster
-//! mtt e12 [runs] [--csv|--json] schedule-space saturation scoreboard:
-//!                               distinct Mazurkiewicz-trace classes,
-//!                               rarefaction curve AUC, and Good–Turing
-//!                               unseen-mass estimate per tool
-//! mtt profile <e1..e8|all> [runs] [--csv] [--timing] [--annotate DIR]
-//!             [--chrome-trace FILE]
-//!                               contention / hot-site / overhead profile;
-//!                               --chrome-trace writes a chrome://tracing
-//!                               timeline of phases, workers and cells
-//! mtt status <dir|file>         one-shot progress/ETA/utilization view of
-//!                               campaign journals (second-process safe)
-//! mtt watch <dir|file> [--interval-ms N] [--max-polls N]
-//!                               poll journals until every campaign completes
-//! mtt tools [list|specs|describe <spec>|validate <spec...|--file F>] [--json]
-//!                               the component registry: list components,
-//!                               print the standard roster, describe or
-//!                               validate tool specs
-//! mtt metrics-check <file>      validate an NDJSON run log against the schema
-//! mtt trace-check <file>        validate an annotated trace against the schema
-//! mtt journal-check <dir|file>  strictly validate campaign journals
-//!                               against schema v2 (v1 accepted; exit 2 on corruption)
-//! mtt all                       every experiment with small defaults
-//! mtt help                      this listing
-//! ```
-//!
-//! Global flags (any experiment subcommand):
-//!
-//! ```text
-//! --jobs N | -j N    shard the run matrix across N workers
-//!                    (default: available parallelism; reports are
-//!                    byte-identical for every N — seeds, not threads,
-//!                    define an execution)
-//! --budget-ms N      per-run wall-clock budget; over-budget runs are
-//!                    counted in the report's `timeouts` column
-//! --quiet | -q       suppress the stderr runs/sec + ETA progress line and
-//!                    the end-of-campaign summary
-//! --metrics FILE     write an NDJSON run log (one JSON object per run, in
-//!                    canonical order — byte-deterministic at any --jobs)
-//!                    for campaign-backed commands (e1, e1-detail, profile)
-//! --tools SPECS      replace the tool roster with a comma-separated list
-//!                    of tool specs (see `mtt tools`) — honored by e1,
-//!                    e1-detail, profile, e5, and cloning
-//! --tools-file FILE  like --tools, reading one spec per line (blank lines
-//!                    and `#` comments ignored)
-//! --journal DIR      append a durable NDJSON flight-recorder journal to
-//!                    DIR/<label>.ndjson while the command runs (observable
-//!                    live from another process via `mtt status`)
-//! --resume           with --journal: look completed cells up in the
-//!                    existing journal by content address and skip them —
-//!                    the resumed output is byte-identical to an
-//!                    uninterrupted run (e1, e1-detail)
-//! ```
+//! `mtt help` lists every command and global flag; the listing is
+//! generated from `mtt_experiment::cli_spec` and the experiment registry
+//! (`mtt_experiment::registry`), which this binary dispatches through.
 
-use mtt_experiment::{
-    campaign::Campaign, cli_spec, cloning::run_cloning_on, coverage_eval, detector_eval,
-    differential_eval, explain, explore_eval, gen_eval, jobpool::JobPool, multiout_eval, profile,
-    replay_eval, saturation_eval, scoreboard, static_eval, tracegen,
+use mtt_experiment::registry::{
+    self, arg_u64, num_value, write_run_log, Ctx, Experiment, Flags, EXPERIMENTS,
 };
-use mtt_obs::{JournalSink, ResumeCache, StatusSummary};
+use mtt_experiment::{cli_spec, explain, profile, tracegen, Format};
+use mtt_obs::StatusSummary;
 use mtt_runtime::{Execution, RandomScheduler, RuntimeBackend};
-use mtt_telemetry::{check_run_log_line, RunLogRecord, RunLogWriter};
-use mtt_tools::{ToolConfig, ToolSpec};
+use mtt_telemetry::check_run_log_line;
+use mtt_tools::ToolSpec;
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Global options shared by every experiment subcommand.
-struct Global {
-    jobs: usize,
-    budget: Option<Duration>,
-    quiet: bool,
-    metrics: Option<String>,
-    tools: Option<Vec<ToolSpec>>,
-    journal: Option<String>,
-    resume: bool,
-    backend: Option<RuntimeBackend>,
-}
-
-impl Global {
-    /// A pool for the experiment `label`, honoring `--jobs`/`--quiet`.
-    fn pool(&self, label: &str) -> JobPool {
-        let pool = JobPool::new(self.jobs);
-        if self.quiet {
-            pool
-        } else {
-            pool.with_progress(label)
-        }
-    }
-
-    /// The `--tools`/`--tools-file` roster resolved to runnable configs,
-    /// or `None` when neither flag was given.
-    fn resolved_tools(&self) -> Result<Option<Vec<ToolConfig>>, String> {
-        match &self.tools {
-            None => Ok(None),
-            Some(specs) => specs
-                .iter()
-                .map(|s| s.resolve())
-                .collect::<Result<Vec<_>, _>>()
-                .map(|mut tools| {
-                    self.apply_backend(&mut tools);
-                    Some(tools)
-                }),
-        }
-    }
-
-    /// Force every tool onto the `--backend` engine, if the flag was
-    /// given. Both the runnable config and its provenance spec are
-    /// rewritten, so canonical spec strings, journal content addresses,
-    /// and run-log records all name the engine that actually ran.
-    fn apply_backend(&self, tools: &mut [ToolConfig]) {
-        if let Some(b) = self.backend {
-            for cfg in tools {
-                cfg.backend = b;
-                cfg.spec.backend = b;
-            }
-        }
-    }
-
-    /// Open `--journal DIR/<label>.ndjson` if journaling was requested.
-    /// With `--resume` the existing journal is tail-repaired, parsed
-    /// (corruption is exit 2) and turned into a [`ResumeCache`]; the sink
-    /// then appends. Without `--resume` the file is truncated.
-    fn open_journal(
-        &self,
-        label: &str,
-    ) -> Result<(Option<Arc<JournalSink>>, Option<ResumeCache>), String> {
-        let Some(dir) = &self.journal else {
-            if self.resume {
-                return Err(
-                    "--resume needs --journal DIR (there is no journal to resume from)".to_string(),
-                );
-            }
-            return Ok((None, None));
+/// Run one registry row whose flags were checked: pick the view
+/// `--csv`/`--json` ask for (a view the row lacks exits 2 before any
+/// work), run the row (it opens its journal), and print its report.
+fn run_experiment(row: &Experiment, g: &Flags, args: &[impl AsRef<str>]) -> Result<(), String> {
+    let mut format = Format::Text;
+    let mut rest = Vec::new();
+    for a in args.iter().map(AsRef::as_ref) {
+        let Some(&view) = [Format::Csv, Format::Json].iter().find(|v| v.flag() == a) else {
+            rest.push(a.to_string());
+            continue;
         };
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("--journal: cannot create directory {dir}: {e}"))?;
-        let path = Path::new(dir).join(format!("{label}.ndjson"));
-        let mut cache = None;
-        if self.resume && path.exists() {
-            // A crash can only ever truncate the final line; cut that
-            // fragment off so appended records start on a line boundary.
-            mtt_obs::truncate_partial_tail(&path)
-                .map_err(|e| format!("--resume: cannot repair {}: {e}", path.display()))?;
-            let parsed = mtt_obs::load_journal(&path)?;
-            cache = Some(ResumeCache::from_records(&parsed.records));
+        if !row.views.contains(&view) {
+            return Err(format!("{a} is not supported by `{}`", row.name));
         }
-        let sink = JournalSink::to_file(&path, self.resume)
-            .map_err(|e| format!("--journal: cannot open {}: {e}", path.display()))?;
-        Ok((Some(Arc::new(sink)), cache))
+        // `--json` wins over `--csv`, whatever their order.
+        if format != Format::Json {
+            format = view;
+        }
     }
-
-    /// A journaled pool for non-campaign commands: generic `job` records
-    /// only, so `--resume` (a content-address cache over campaign cells)
-    /// is rejected with a pointed message.
-    fn journaled_pool(&self, label: &str) -> Result<(JobPool, JournalGuard), String> {
-        if self.resume {
-            return Err(format!(
-                "--resume is not supported by `{label}` — only campaign-shaped \
-                 commands (e1, e1-detail) can skip completed cells"
-            ));
-        }
-        let (sink, _) = self.open_journal(label)?;
-        let mut pool = self.pool(label);
-        if let Some(s) = &sink {
-            pool = pool.with_journal(Arc::clone(s), label);
-        }
-        Ok((pool, JournalGuard(sink)))
-    }
+    let ctx = Ctx::new(g.pool(row.name), g.clone(), row.name);
+    let report = (row.run)(&rest, &ctx)?;
+    ctx.finish()?;
+    let text = report.render(format).ok_or_else(|| {
+        format!(
+            "`{}` has no {} view of this report",
+            row.name,
+            format.flag()
+        )
+    })?;
+    print!("{text}");
+    Ok(())
 }
 
-/// Post-run check that every journal record actually reached disk; a
-/// latched write error (disk full, deleted directory) becomes exit 2
-/// instead of a silently incomplete journal.
-struct JournalGuard(Option<Arc<JournalSink>>);
-
-impl JournalGuard {
-    fn finish(self) -> Result<(), String> {
-        match self.0.as_ref().and_then(|s| s.error()) {
-            Some(e) => Err(e),
-            None => Ok(()),
+/// `mtt all`: every row with `all` arguments, in registry order.
+fn run_all(g: &Flags, args: &[String]) -> Result<(), String> {
+    if let Some(extra) = args.first() {
+        return Err(format!("all: unexpected argument `{extra}`"));
+    }
+    for row in EXPERIMENTS {
+        if let Some(all_args) = row.all_args {
+            run_experiment(row, g, all_args)?;
         }
     }
+    Ok(())
 }
 
 /// The argument of a path-taking flag. Rejecting flag-shaped values here
@@ -243,33 +86,15 @@ fn path_value(
 /// Split `--jobs/-j/--budget-ms/--quiet/-q` out of the raw argument list;
 /// everything else stays positional (subcommand flags like `--json` pass
 /// through). Returns an error message for malformed global flags.
-fn parse_global(raw: &[String]) -> Result<(Global, Vec<String>), String> {
-    let mut g = Global {
-        jobs: 0, // 0 = available parallelism
-        budget: None,
-        quiet: false,
-        metrics: None,
-        tools: None,
-        journal: None,
-        resume: false,
-        backend: None,
-    };
+fn parse_global(raw: &[String]) -> Result<(Flags, Vec<String>), String> {
+    let mut g = Flags::default();
     let mut rest = Vec::new();
     let mut it = raw.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--jobs" | "-j" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                g.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: `{v}` is not a number"))?;
-            }
+            "--jobs" | "-j" => g.jobs = num_value(&mut it, "--jobs")?,
             "--budget-ms" => {
-                let v = it.next().ok_or("--budget-ms needs a value")?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--budget-ms: `{v}` is not a number"))?;
-                g.budget = Some(Duration::from_millis(ms));
+                g.budget = Some(Duration::from_millis(num_value(&mut it, a)?));
             }
             "--quiet" | "-q" => g.quiet = true,
             "--metrics" => {
@@ -326,60 +151,25 @@ fn main() -> ExitCode {
     };
     let cmd = args.first().map(String::as_str).unwrap_or("");
     let run = || -> Result<ExitCode, String> {
+        let known = cli_spec::SUBCOMMANDS.iter().any(|c| c.name == cmd);
+        if known || registry::find(cmd).is_some() {
+            global.check(cmd)?;
+        }
         match cmd {
             "list" => Ok(list()),
-            "lint" => Ok(lint(&args[1..])),
-            "run" => Ok(run_one(&args[1..])),
-            "trace" => Ok(trace(&args[1..])),
+            "lint" => lint(&args[1..]),
+            "run" => run_one(&args[1..]),
+            "trace" => trace(&args[1..]),
             "explain" => explain_cmd(&args[1..], &global),
-            "e1" => e1(&args[1..], &global),
-            "e1-detail" => e1_detail(
-                args.get(1).map(String::as_str),
-                arg_u64(&args, 2, 60)?,
-                &global,
-            ),
-            "cloning" => cloning(arg_u64(&args, 1, 60)?, &global),
-            "e2" => e2(arg_u64(&args, 1, 10)?, &global),
-            "e3" => e3(arg_u64(&args, 1, 20)?, &global),
-            "e4" => e4(
-                args.get(1).map(String::as_str),
-                arg_u64(&args, 2, 20)?,
-                &global,
-            ),
-            "e5" => e5(arg_u64(&args, 1, 120)?, &global),
-            "e6" => e6(arg_u64(&args, 1, 3000)?, &global),
-            "e7" => e7(arg_u64(&args, 1, 40)?, &global),
-            "e8" => Ok(e8(arg_u64(&args, 1, 7)?)),
-            "e10" => e10(&args[1..], &global),
             "gen" => gen_cmd(&args[1..]),
-            "e11" => e11(&args[1..], &global),
-            "e12" => e12(&args[1..], &global),
-            "e13" => e13(&args[1..], &global),
             "profile" => profile_cmd(&args[1..], &global),
             "status" => status_cmd(&args[1..]),
             "watch" => watch_cmd(&args[1..]),
             "tools" => tools_cmd(&args[1..]),
-            "metrics-check" => Ok(metrics_check(&args[1..])),
-            "trace-check" => Ok(trace_check(&args[1..])),
+            "metrics-check" => metrics_check(&args[1..]),
+            "trace-check" => trace_check(&args[1..]),
             "journal-check" => journal_check(&args[1..]),
-            "all" => {
-                e1(&["40".into()], &global)?;
-                e2(8, &global)?;
-                e3(15, &global)?;
-                e4(None, 15, &global)?;
-                e5(80, &global)?;
-                e6(2000, &global)?;
-                e7(30, &global)?;
-                e8(7);
-                e10(
-                    &["--families".into(), "8".into(), "--runs".into(), "2".into()],
-                    &global,
-                )?;
-                e11(&["12".into()], &global)?;
-                e12(&["12".into()], &global)?;
-                e13(&["6".into()], &global)?;
-                Ok(ExitCode::SUCCESS)
-            }
+            "all" => run_all(&global, &args[1..]).map(|()| ExitCode::SUCCESS),
             "help" | "--help" | "-h" => {
                 println!("{}", cli_spec::usage());
                 Ok(ExitCode::SUCCESS)
@@ -388,10 +178,13 @@ fn main() -> ExitCode {
                 eprintln!("{}", cli_spec::usage());
                 Ok(ExitCode::from(2))
             }
-            unknown => {
-                eprintln!("mtt: unknown subcommand `{unknown}`\n{}", cli_spec::usage());
-                Ok(ExitCode::from(2))
-            }
+            name => match registry::find(name) {
+                Some(row) => run_experiment(row, &global, &args[1..]).map(|()| ExitCode::SUCCESS),
+                None => {
+                    eprintln!("mtt: unknown subcommand `{name}`\n{}", cli_spec::usage());
+                    Ok(ExitCode::from(2))
+                }
+            },
         }
     };
     match run() {
@@ -400,18 +193,6 @@ fn main() -> ExitCode {
             eprintln!("mtt: {msg}");
             ExitCode::from(2)
         }
-    }
-}
-
-/// Parse the positional argument at `idx` as a number; the default applies
-/// only when the argument is absent — a malformed value is an error, not a
-/// silent fallback.
-fn arg_u64(args: &[String], idx: usize, default: u64) -> Result<u64, String> {
-    match args.get(idx) {
-        None => Ok(default),
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("argument `{s}` is not a number")),
     }
 }
 
@@ -453,7 +234,7 @@ fn code_matches(codes: &Option<Vec<String>>, code: &str) -> bool {
     }
 }
 
-fn lint(args: &[String]) -> ExitCode {
+fn lint(args: &[String]) -> Result<ExitCode, String> {
     let mut json = false;
     let mut target = None;
     let mut deny: Option<Option<Vec<String>>> = None;
@@ -463,51 +244,42 @@ fn lint(args: &[String]) -> ExitCode {
         match a.as_str() {
             "--json" => json = true,
             "--deny" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--deny needs a code list (or `all`)");
-                    return ExitCode::from(2);
-                };
+                let v = it.next().ok_or("--deny needs a code list (or `all`)")?;
                 deny = Some(parse_code_list(v));
             }
             "--allow" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--allow needs a code list (or `all`)");
-                    return ExitCode::from(2);
-                };
+                let v = it.next().ok_or("--allow needs a code list (or `all`)")?;
                 allow = Some(parse_code_list(v));
             }
             other if target.is_none() => target = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument `{other}`");
-                return ExitCode::from(2);
-            }
+            other => return Err(format!("unexpected argument `{other}`")),
         }
     }
     let Some(target) = target else {
-        eprintln!("usage: mtt lint <sample-name|file.mp> [--json] [--deny IDS] [--allow IDS]");
-        eprintln!("samples:");
-        for s in mtt_static::samples::catalog() {
-            eprintln!("  {}", s.name);
-        }
-        return ExitCode::from(2);
+        let samples: String = mtt_static::samples::catalog()
+            .iter()
+            .map(|s| format!("\n  {}", s.name))
+            .collect();
+        return Err(format!(
+            "usage: mtt lint <sample-name|file.mp> [--json] [--deny IDS] [--allow IDS]\nsamples:{samples}"
+        ));
     };
 
     // A known sample name wins; anything else is read as a source file.
     let (label, src) = match mtt_static::samples::by_name(&target) {
         Some(s) => (format!("<sample {}>", s.name), s.src.to_string()),
-        None => match std::fs::read_to_string(&target) {
-            Ok(text) => (target.clone(), text),
-            Err(e) => {
-                eprintln!("`{target}` is neither a sample name nor a readable file: {e}");
-                return ExitCode::from(2);
-            }
-        },
+        None => (
+            target.clone(),
+            std::fs::read_to_string(&target).map_err(|e| {
+                format!("`{target}` is neither a sample name nor a readable file: {e}")
+            })?,
+        ),
     };
     let ast = match mtt_static::parse(&src) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{label}: parse error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let result = mtt_static::analyze(&ast);
@@ -547,25 +319,20 @@ fn lint(args: &[String]) -> ExitCode {
                 .len()
         );
     }
-    if denied > 0 {
+    Ok(if denied > 0 {
         eprintln!("{label}: {denied} denied finding(s)");
         ExitCode::from(3)
     } else if diagnostics.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn run_one(args: &[String]) -> ExitCode {
-    let Some(name) = args.first() else {
-        eprintln!("usage: mtt run <program> [seed]");
-        return ExitCode::from(2);
-    };
-    let Some(p) = mtt_suite::by_name(name) else {
-        eprintln!("unknown program `{name}` — try `mtt list`");
-        return ExitCode::from(2);
-    };
+fn run_one(args: &[String]) -> Result<ExitCode, String> {
+    let name = args.first().ok_or("usage: mtt run <program> [seed]")?;
+    let p = mtt_suite::by_name(name)
+        .ok_or_else(|| format!("unknown program `{name}` — try `mtt list`"))?;
     let seed = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0u64);
     let o = Execution::new(&p.program)
         .scheduler(Box::new(RandomScheduler::new(seed)))
@@ -578,29 +345,25 @@ fn run_one(args: &[String]) -> ExitCode {
     } else {
         println!("no documented bug manifested in this run");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn trace(args: &[String]) -> ExitCode {
+fn trace(args: &[String]) -> Result<ExitCode, String> {
     let (Some(name), Some(n), Some(dir)) = (args.first(), args.get(1), args.get(2)) else {
-        eprintln!("usage: mtt trace <program> <count> <dir>");
-        return ExitCode::from(2);
+        return Err("usage: mtt trace <program> <count> <dir>".into());
     };
-    let Some(p) = mtt_suite::by_name(name) else {
-        eprintln!("unknown program `{name}`");
-        return ExitCode::from(2);
-    };
+    let p = mtt_suite::by_name(name).ok_or_else(|| format!("unknown program `{name}`"))?;
     let count: u64 = n.parse().unwrap_or(1);
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create {dir}: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let traces = tracegen::generate_many(&p, &tracegen::TraceGenOptions::default(), count);
     for (i, t) in traces.iter().enumerate() {
         let path = format!("{dir}/{name}-{i}.jsonl");
         if let Err(e) = mtt_trace::json::save(t, &path) {
             eprintln!("write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!(
             "{path}: {} records, manifested: {:?}",
@@ -608,89 +371,10 @@ fn trace(args: &[String]) -> ExitCode {
             t.meta.manifested_bugs
         );
     }
-    ExitCode::SUCCESS
-}
-
-/// Write `records` as NDJSON to `path` (used by every campaign-backed
-/// command honoring `--metrics`).
-fn write_run_log(path: &str, records: &[RunLogRecord]) -> Result<(), String> {
-    let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    let mut w = RunLogWriter::new(file);
-    for rec in records {
-        w.write_record(rec)
-            .map_err(|e| format!("write {path}: {e}"))?;
-    }
-    w.flush().map_err(|e| format!("flush {path}: {e}"))?;
-    Ok(())
-}
-
-fn e1(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut csv = false;
-    let mut positional = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--csv" => csv = true,
-            other => positional.push(other.to_string()),
-        }
-    }
-    let runs = arg_u64(&positional, 0, 60)?;
-    let mut campaign = Campaign::standard(mtt_suite::quick_set(), runs);
-    if let Some(tools) = g.resolved_tools()? {
-        campaign.tools = tools;
-    }
-    g.apply_backend(&mut campaign.tools);
-    campaign.run_budget = g.budget;
-    campaign.jobs = g.jobs;
-    campaign.label = "e1".into();
-    campaign.telemetry = g.metrics.is_some();
-    let (sink, cache) = g.open_journal("e1")?;
-    campaign.journal = sink.clone();
-    campaign.resume = cache;
-    let run = campaign.run_full(&g.pool("e1"));
-    JournalGuard(sink).finish()?;
-    if let Some(path) = &g.metrics {
-        write_run_log(path, &run.run_log)?;
-    }
-    if csv {
-        print!("{}", run.report.table().to_csv());
-    } else {
-        println!("{}", run.report.table().render());
-        println!("ranking (mean find-rate across programs):");
-        for (tool, rate) in run.report.ranking() {
-            println!("  {tool:<14} {rate:.3}");
-        }
-    }
     Ok(ExitCode::SUCCESS)
 }
 
-fn e1_detail(program: Option<&str>, runs: u64, g: &Global) -> Result<ExitCode, String> {
-    let name = program.unwrap_or("web_sessions");
-    let Some(p) = mtt_suite::by_name(name) else {
-        eprintln!("unknown program `{name}`");
-        return Ok(ExitCode::from(2));
-    };
-    let mut campaign = Campaign::standard(vec![p], runs);
-    if let Some(tools) = g.resolved_tools()? {
-        campaign.tools = tools;
-    }
-    g.apply_backend(&mut campaign.tools);
-    campaign.run_budget = g.budget;
-    campaign.jobs = g.jobs;
-    campaign.label = "e1-detail".into();
-    campaign.telemetry = g.metrics.is_some();
-    let (sink, cache) = g.open_journal("e1-detail")?;
-    campaign.journal = sink.clone();
-    campaign.resume = cache;
-    let run = campaign.run_full(&g.pool("e1-detail"));
-    JournalGuard(sink).finish()?;
-    if let Some(path) = &g.metrics {
-        write_run_log(path, &run.run_log)?;
-    }
-    println!("{}", run.report.per_bug_table(name).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn explain_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
+fn explain_cmd(args: &[String], g: &Flags) -> Result<ExitCode, String> {
     let mut opts = explain::ExplainOptions::default();
     let mut timeline = false;
     let mut diff = false;
@@ -700,26 +384,9 @@ fn explain_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed-fail" => {
-                let v = it.next().ok_or("--seed-fail needs a value")?;
-                opts.seed_fail = Some(
-                    v.parse()
-                        .map_err(|_| format!("--seed-fail: `{v}` is not a number"))?,
-                );
-            }
-            "--seed-pass" => {
-                let v = it.next().ok_or("--seed-pass needs a value")?;
-                opts.seed_pass = Some(
-                    v.parse()
-                        .map_err(|_| format!("--seed-pass: `{v}` is not a number"))?,
-                );
-            }
-            "--scan" => {
-                let v = it.next().ok_or("--scan needs a value")?;
-                opts.scan = v
-                    .parse()
-                    .map_err(|_| format!("--scan: `{v}` is not a number"))?;
-            }
+            "--seed-fail" => opts.seed_fail = Some(num_value(&mut it, a)?),
+            "--seed-pass" => opts.seed_pass = Some(num_value(&mut it, a)?),
+            "--scan" => opts.scan = num_value(&mut it, a)?,
             "--annotate" => {
                 let v = it.next().ok_or("--annotate needs a file path")?;
                 annotate = Some(v.clone());
@@ -748,9 +415,9 @@ fn explain_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
     let Some(p) = mtt_suite::by_name(&name) else {
         return Err(format!("unknown program `{name}` — try `mtt list`"));
     };
-    let (pool, journal) = g.journaled_pool("explain")?;
-    let e = explain::explain_on(&p, &opts, &pool)?;
-    journal.finish()?;
+    let ctx = Ctx::new(g.pool("explain"), g.clone(), "explain");
+    let e = explain::explain_on(&p, &opts, ctx.journaled_pool()?)?;
+    ctx.finish()?;
     print!("{}", e.render_summary());
     if timeline || (!diff && !csv) {
         println!();
@@ -778,19 +445,16 @@ fn explain_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn trace_check(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("usage: mtt trace-check <file.ndjson>");
-        return ExitCode::from(2);
-    };
+fn trace_check(args: &[String]) -> Result<ExitCode, String> {
+    let path = args.first().ok_or("usage: mtt trace-check <file.ndjson>")?;
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("mtt: read {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    match mtt_causal::check_annotated(&text) {
+    Ok(match mtt_causal::check_annotated(&text) {
         Ok(n) => {
             println!("{path}: annotated trace conforms to the schema ({n} record(s))");
             ExitCode::SUCCESS
@@ -799,10 +463,10 @@ fn trace_check(args: &[String]) -> ExitCode {
             eprintln!("{path}: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn profile_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
+fn profile_cmd(args: &[String], g: &Flags) -> Result<ExitCode, String> {
     let mut csv = false;
     let mut timing = false;
     let mut annotate_dir = None;
@@ -831,16 +495,6 @@ fn profile_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
             profile::PROFILE_KEYS.join("|")
         ));
     };
-    if g.resume {
-        // A profile needs full site maps, which the journal's 12-scalar
-        // metric summary cannot round-trip — so cached cells can't stand in
-        // for executed ones here.
-        return Err(
-            "--resume is not supported by `profile` (hot-site maps cannot be \
-             reconstructed from the journal); use e1/e1-detail, or drop --resume"
-                .into(),
-        );
-    }
     let runs = arg_u64(&positional, 1, 20)?;
     let keys: Vec<&str> = if key == "all" {
         profile::PROFILE_KEYS.to_vec()
@@ -864,7 +518,10 @@ fn profile_cmd(args: &[String], g: &Global) -> Result<ExitCode, String> {
             journal: sink.clone(),
         };
         let report = profile::run_profile(key, &opts)?;
-        JournalGuard(sink).finish()?;
+        // A latched journal write error is exit 2, not a short journal.
+        if let Some(e) = sink.and_then(|s| s.error()) {
+            return Err(e);
+        }
         if csv {
             print!("{}", report.to_csv());
         } else {
@@ -948,18 +605,8 @@ fn watch_cmd(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--interval-ms" => {
-                let v = it.next().ok_or("--interval-ms needs a value")?;
-                interval_ms = v
-                    .parse()
-                    .map_err(|_| format!("--interval-ms: `{v}` is not a number"))?;
-            }
-            "--max-polls" => {
-                let v = it.next().ok_or("--max-polls needs a value")?;
-                max_polls = v
-                    .parse()
-                    .map_err(|_| format!("--max-polls: `{v}` is not a number"))?;
-            }
+            "--interval-ms" => interval_ms = num_value(&mut it, a)?,
+            "--max-polls" => max_polls = num_value(&mut it, a)?,
             other if target.is_none() && !other.starts_with('-') => {
                 target = Some(other.to_string());
             }
@@ -1163,16 +810,15 @@ fn tools_cmd(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn metrics_check(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("usage: mtt metrics-check <file.ndjson>");
-        return ExitCode::from(2);
-    };
+fn metrics_check(args: &[String]) -> Result<ExitCode, String> {
+    let path = args
+        .first()
+        .ok_or("usage: mtt metrics-check <file.ndjson>")?;
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("mtt: read {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut checked = 0u64;
@@ -1182,149 +828,15 @@ fn metrics_check(args: &[String]) -> ExitCode {
         }
         if let Err(msg) = check_run_log_line(line) {
             eprintln!("{path}:{}: {msg}", i + 1);
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         checked += 1;
     }
     if checked == 0 {
         eprintln!("{path}: no run-log lines found");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!("{path}: {checked} run-log line(s) conform to the schema");
-    ExitCode::SUCCESS
-}
-
-fn cloning(runs: u64, g: &Global) -> Result<ExitCode, String> {
-    let (pool, journal) = g.journaled_pool("cloning")?;
-    println!("§2.3 cloning driver: P(cloned test fails)\n");
-    match &g.tools {
-        None => {
-            // The historical comparison: bare cloning vs sleep noise on top.
-            let noisy_spec =
-                ToolSpec::parse("sticky:0.9+noise=sleep:0.3:15").expect("default spec is valid");
-            for clones in [1u32, 2, 4, 8] {
-                let plain = run_cloning_on(clones, runs, None, &pool);
-                let noisy = run_cloning_on(clones, runs, Some(&noisy_spec), &pool);
-                println!(
-                    "  {clones} clone(s):  plain {}   + sleep noise {}",
-                    plain.fail.render(),
-                    noisy.fail.render()
-                );
-            }
-        }
-        Some(specs) => {
-            for clones in [1u32, 2, 4, 8] {
-                let plain = run_cloning_on(clones, runs, None, &pool);
-                let mut line = format!("  {clones} clone(s):  plain {}", plain.fail.render());
-                for spec in specs {
-                    let r = run_cloning_on(clones, runs, Some(spec), &pool);
-                    line.push_str(&format!("   + {} {}", spec.display_name(), r.fail.render()));
-                }
-                println!("{line}");
-            }
-        }
-    }
-    journal.finish()?;
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e2(traces: u64, g: &Global) -> Result<ExitCode, String> {
-    let (pool, journal) = g.journaled_pool("e2")?;
-    let programs = mtt_suite::quick_set();
-    let report = detector_eval::run_detector_eval_on(&programs, traces, &pool);
-    journal.finish()?;
-    println!("{}", report.table().render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e3(attempts: u64, g: &Global) -> Result<ExitCode, String> {
-    let (pool, journal) = g.journaled_pool("e3")?;
-    let rows = replay_eval::run_replay_eval_on(attempts, &[0, 1, 4, 16], &pool);
-    journal.finish()?;
-    println!("{}", replay_eval::replay_table(&rows).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e4(program: Option<&str>, runs: u64, g: &Global) -> Result<ExitCode, String> {
-    let name = program.unwrap_or("web_sessions");
-    let Some(p) = mtt_suite::by_name(name) else {
-        eprintln!("unknown program `{name}`");
-        return Ok(ExitCode::from(2));
-    };
-    let (pool, journal) = g.journaled_pool("e4")?;
-    let curves = coverage_eval::run_coverage_eval_on(&p, runs, 0, &pool);
-    journal.finish()?;
-    println!("{}", coverage_eval::coverage_table(name, &curves).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e5(runs: u64, g: &Global) -> Result<ExitCode, String> {
-    let (pool, journal) = g.journaled_pool("e5")?;
-    let results = match g.resolved_tools()? {
-        Some(tools) => multiout_eval::run_multiout_eval_with(runs, 0, tools, &pool),
-        None => multiout_eval::run_multiout_eval_on(runs, 0, &pool),
-    };
-    journal.finish()?;
-    println!("{}", multiout_eval::multiout_table(&results).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e6(budget: u64, g: &Global) -> Result<ExitCode, String> {
-    let programs = vec![
-        mtt_suite::small::lost_update(2, 1),
-        mtt_suite::small::ab_ba(),
-        mtt_suite::small::check_then_act(),
-    ];
-    let (pool, journal) = g.journaled_pool("e6")?;
-    let rows = explore_eval::run_explore_eval_on(&programs, budget, &pool);
-    journal.finish()?;
-    println!("{}", explore_eval::explore_table(&rows).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e7(runs: u64, g: &Global) -> Result<ExitCode, String> {
-    let (pool, journal) = g.journaled_pool("e7")?;
-    let rows = static_eval::run_static_eval_on(runs, &pool);
-    journal.finish()?;
-    println!("{}", static_eval::static_table(&rows).render());
-    println!("{}", static_eval::class_table(&rows).render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e10(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut opts = gen_eval::GenEvalOptions::default();
-    let mut csv = false;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--json" => json = true,
-            "--seed" | "--families" | "--runs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("{a} needs a value"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("{a}: {e}"))?;
-                match a.as_str() {
-                    "--seed" => opts.seed = v,
-                    "--families" => opts.families = v,
-                    _ => opts.runs = v,
-                }
-            }
-            other => return Err(format!("e10: unknown argument `{other}`")),
-        }
-    }
-    let (pool, journal) = g.journaled_pool("e10")?;
-    let rows = gen_eval::run_gen_eval_on(&opts, &pool);
-    journal.finish()?;
-    if json {
-        println!("{}", gen_eval::gen_eval_json(&opts, &rows).dump());
-    } else if csv {
-        print!("{}", gen_eval::render_csv(&rows));
-    } else {
-        print!("{}", gen_eval::render_report(&rows));
-    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1336,18 +848,8 @@ fn gen_cmd(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" | "--families" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("{a} needs a value"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("{a}: {e}"))?;
-                if a == "--seed" {
-                    opts.seed = v;
-                } else {
-                    opts.families = v;
-                }
-            }
+            "--seed" => opts.seed = num_value(&mut it, a)?,
+            "--families" => opts.families = num_value(&mut it, a)?,
             other => positional.push(other.to_string()),
         }
     }
@@ -1403,99 +905,4 @@ fn gen_cmd(args: &[String]) -> Result<ExitCode, String> {
         }
         other => Err(format!("gen: unknown verb `{other}`")),
     }
-}
-
-fn e11(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut csv = false;
-    let mut json = false;
-    let mut positional = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--json" => json = true,
-            other => positional.push(other.to_string()),
-        }
-    }
-    let runs = arg_u64(&positional, 0, 20)?;
-    let (pool, journal) = g.journaled_pool("e11")?;
-    let rows = scoreboard::run_scoreboard_on(runs, &pool);
-    journal.finish()?;
-    if json {
-        println!("{}", scoreboard::scoreboard_json(&rows).dump());
-    } else if csv {
-        print!("{}", scoreboard::render_csv(&rows));
-    } else {
-        print!("{}", scoreboard::render_report(&rows));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e12(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut csv = false;
-    let mut json = false;
-    let mut positional = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--json" => json = true,
-            other => positional.push(other.to_string()),
-        }
-    }
-    let runs = arg_u64(&positional, 0, 40)?;
-    let (pool, journal) = g.journaled_pool("e12")?;
-    let cells = saturation_eval::run_saturation_on(runs, &pool);
-    journal.finish()?;
-    if json {
-        println!("{}", saturation_eval::saturation_json(&cells).dump());
-    } else if csv {
-        print!("{}", saturation_eval::render_csv(&cells));
-    } else {
-        print!("{}", saturation_eval::render_report(&cells));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e13(args: &[String], g: &Global) -> Result<ExitCode, String> {
-    let mut csv = false;
-    let mut json = false;
-    let mut model_only = false;
-    let mut positional = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--csv" => csv = true,
-            "--json" => json = true,
-            "--model-csv" => model_only = true,
-            other => positional.push(other.to_string()),
-        }
-    }
-    if g.backend.is_some() {
-        return Err(
-            "--backend is not supported by `e13` — the differential always runs both backends"
-                .to_string(),
-        );
-    }
-    let runs = arg_u64(&positional, 0, 12)?;
-    let (pool, journal) = g.journaled_pool("e13")?;
-    let cells = differential_eval::run_differential_on(runs, &pool);
-    journal.finish()?;
-    if json {
-        println!("{}", differential_eval::differential_json(&cells).dump());
-    } else if model_only {
-        print!("{}", differential_eval::model_csv(&cells));
-    } else if csv {
-        print!("{}", differential_eval::render_csv(&cells));
-    } else {
-        print!("{}", differential_eval::render_report(&cells));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn e8(seed: u64) -> ExitCode {
-    // E8 measures online vs offline *wall-clock* overhead: concurrent runs
-    // would contend with each other and poison the measurement, so it
-    // ignores --jobs on purpose.
-    let programs = mtt_suite::quick_set();
-    let rows = detector_eval::run_tradeoff_eval(&programs, seed);
-    println!("{}", detector_eval::tradeoff_table(&rows).render());
-    ExitCode::SUCCESS
 }

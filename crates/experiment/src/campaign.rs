@@ -682,33 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_campaign_matches_serial_bytes() {
-        let mk = |jobs: usize| {
-            Campaign {
-                programs: vec![
-                    mtt_suite::small::lost_update(2, 2),
-                    mtt_suite::small::ab_ba(),
-                ],
-                tools: vec![ToolConfig::baseline(), ToolConfig::with_spurious(0.05)],
-                runs: 10,
-                base_seed: 21,
-                max_steps: 20_000,
-                ..Campaign::standard(vec![], 0)
-            }
-            .with_jobs(jobs)
-            .run()
-        };
-        let serial = mk(1);
-        let par = mk(4);
-        assert_eq!(serial.table().render(), par.table().render());
-        assert_eq!(serial.table().to_csv(), par.table().to_csv());
-        assert_eq!(
-            serial.per_bug_table("ab_ba").render(),
-            par.per_bug_table("ab_ba").render()
-        );
-    }
-
-    #[test]
     fn run_budget_marks_cells_instead_of_hanging() {
         let campaign = Campaign {
             programs: vec![mtt_suite::small::lost_update(2, 2)],

@@ -42,14 +42,10 @@ pub struct DetectorReport {
 }
 
 /// Run E2: for each program generate `traces_per_program` annotated traces,
-/// feed both detectors, score against the ground truth.
-pub fn run_detector_eval(programs: &[SuiteProgram], traces_per_program: u64) -> DetectorReport {
-    run_detector_eval_on(programs, traces_per_program, &JobPool::serial())
-}
-
-/// [`run_detector_eval`] with trace generation (the dominant cost) sharded
-/// across a job pool. Detector scoring itself stays serial per program, so
-/// the report is identical for any worker count.
+/// feed both detectors, score against the ground truth. Trace generation
+/// (the dominant cost) is sharded across a job pool; detector scoring
+/// itself stays serial per program, so the report is identical for any
+/// worker count.
 pub fn run_detector_eval_on(
     programs: &[SuiteProgram],
     traces_per_program: u64,
@@ -163,15 +159,6 @@ impl DetectorReport {
         }
         cells.iter().map(|c| c.score.recall()).sum::<f64>() / cells.len() as f64
     }
-
-    /// Total false positives per detector.
-    pub fn total_false_positives(&self, detector: &str) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| c.detector == detector)
-            .map(|c| c.score.false_positives)
-            .sum()
-    }
 }
 
 /// One row of the E8 trade-off report.
@@ -281,7 +268,7 @@ mod tests {
             mtt_suite::small::lost_update(2, 2),
             mtt_suite::small::missed_signal(), // no racy vars: clean ground truth
         ];
-        let report = run_detector_eval(&programs, 5);
+        let report = run_detector_eval_on(&programs, 5, &JobPool::serial());
         assert_eq!(report.cells.len(), 4);
         // Lockset must find the lost-update race in at least one trace.
         let eraser_lu = report

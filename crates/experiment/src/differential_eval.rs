@@ -199,11 +199,6 @@ fn intervals_overlap(a: &FindStats, b: &FindStats) -> bool {
     alo <= bhi && blo <= ahi
 }
 
-/// Run E13 serially.
-pub fn run_differential(runs: u64) -> Vec<DifferentialCell> {
-    run_differential_on(runs, &JobPool::serial())
-}
-
 /// Run E13, sharding one job per (program × tool) cell across `pool`.
 /// Model legs are seeded pure functions, so they merge back identical (and
 /// in grid order) at any worker count; native legs are real concurrency
@@ -278,17 +273,6 @@ pub fn differential_table(cells: &[DifferentialCell]) -> Table {
         ]);
     }
     t
-}
-
-/// The full text report — what `mtt e13` prints. Contains native legs, so
-/// it is *not* golden-testable; use [`model_csv`] for byte-identity.
-pub fn render_report(cells: &[DifferentialCell]) -> String {
-    format!("{}\n", differential_table(cells).render())
-}
-
-/// The full table as CSV (native columns included).
-pub fn render_csv(cells: &[DifferentialCell]) -> String {
-    differential_table(cells).to_csv()
 }
 
 /// Only the deterministic *model* half of every cell, as CSV — the
@@ -403,7 +387,7 @@ mod tests {
 
     #[test]
     fn grid_covers_programs_times_roster_with_sane_statistics() {
-        let cells = run_differential(3);
+        let cells = run_differential_on(3, &JobPool::serial());
         assert_eq!(
             cells.len(),
             differential_programs().len() * DIFFERENTIAL_ROSTER_SPECS.len()
@@ -422,13 +406,16 @@ mod tests {
             assert!(c.model.outcomes.entropy().is_finite());
             assert!(c.native.outcomes.entropy().is_finite());
         }
+        let j = differential_json(&cells).dump();
+        assert!(j.contains("\"schema\":\"mtt-e13-differential\""));
+        assert!(j.contains("\"version\":1"));
     }
 
     #[test]
     fn benign_twin_is_clean_under_both_backends() {
         // The generated benign twin is race-free: no oracle hit and no
         // torn read under either engine, at any noise level.
-        let cells = run_differential(3);
+        let cells = run_differential_on(3, &JobPool::serial());
         let benign: Vec<_> = cells
             .iter()
             .filter(|c| c.program.ends_with("_ok"))
@@ -443,16 +430,5 @@ mod tests {
             );
             assert_eq!(c.native.torn_reads, 0, "{}: benign twin tore", c.program);
         }
-    }
-
-    #[test]
-    fn model_legs_are_identical_across_job_counts() {
-        let serial = run_differential_on(4, &JobPool::new(1));
-        let par = run_differential_on(4, &JobPool::new(4));
-        assert_eq!(model_csv(&serial), model_csv(&par));
-        // And the JSON schema header is stable regardless of pool shape.
-        let j = differential_json(&serial).dump();
-        assert!(j.contains("\"schema\":\"mtt-e13-differential\""));
-        assert!(j.contains("\"version\":1"));
     }
 }

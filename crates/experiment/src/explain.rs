@@ -287,22 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn explain_identical_across_pools() {
-        let p = mtt_suite::small::check_then_act();
-        let opts = ExplainOptions {
-            scan: 64,
-            ..Default::default()
-        };
-        let serial = explain_on(&p, &opts, &JobPool::serial()).unwrap();
-        let par = explain_on(&p, &opts, &JobPool::new(4)).unwrap();
-        assert_eq!(serial.fail_seed, par.fail_seed);
-        assert_eq!(serial.pass_seed, par.pass_seed);
-        assert_eq!(serial.render_timeline(), par.render_timeline());
-        assert_eq!(serial.render_diff(), par.render_diff());
-        assert_eq!(serial.annotated_ndjson(), par.annotated_ndjson());
-    }
-
-    #[test]
     fn explicit_seeds_are_respected() {
         let p = mtt_suite::small::lost_update(2, 2);
         let auto = explain_on(&p, &ExplainOptions::default(), &JobPool::serial()).unwrap();

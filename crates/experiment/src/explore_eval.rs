@@ -62,15 +62,10 @@ fn search_configs(budget: u64) -> Vec<(&'static str, ExploreOptions)> {
     ]
 }
 
-/// Run E6 on the given programs.
-pub fn run_explore_eval(programs: &[SuiteProgram], budget: u64) -> Vec<ExploreRow> {
-    run_explore_eval_on(programs, budget, &JobPool::serial())
-}
-
-/// [`run_explore_eval`], sharding the (program × search configuration)
-/// grid — including the random baseline — across a job pool. Each grid
-/// cell is an independent deterministic search, so the rows are identical
-/// for any worker count.
+/// Run E6 on the given programs, sharding the (program × search
+/// configuration) grid — including the random baseline — across a job
+/// pool. Each grid cell is an independent deterministic search, so the
+/// rows are identical for any worker count.
 pub fn run_explore_eval_on(
     programs: &[SuiteProgram],
     budget: u64,
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn exploration_finds_bugs_and_por_is_cheaper() {
         let programs = vec![mtt_suite::small::lost_update(2, 1)];
-        let rows = run_explore_eval(&programs, 3_000);
+        let rows = run_explore_eval_on(&programs, 3_000, &JobPool::serial());
         let by = |c: &str| rows.iter().find(|r| r.config == c).unwrap();
         // Every systematic config must find the lost update.
         for cfg in ["dfs", "dfs+por", "dfs+por+state", "preempt<=2"] {

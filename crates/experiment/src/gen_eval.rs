@@ -135,11 +135,6 @@ pub struct GenScoreRow {
     pub robust_total: u64,
 }
 
-/// Run E10 serially.
-pub fn run_gen_eval(opts: &GenEvalOptions) -> Vec<FamilyOutcomes> {
-    run_gen_eval_on(opts, &JobPool::serial())
-}
-
 /// Run E10, sharding one job per family across `pool`. `mtt_gen::family`
 /// is a pure function of `(seed, index)` and every execution inside a
 /// job is seeded, so rows come back identical (and in index order) at
@@ -359,24 +354,6 @@ pub fn population_table(rows: &[FamilyOutcomes]) -> Table {
     t
 }
 
-/// The full text report — what `mtt e10` prints and the golden pins.
-pub fn render_report(rows: &[FamilyOutcomes]) -> String {
-    format!(
-        "{}\n{}\n",
-        scoreboard_table(rows).render(),
-        population_table(rows).render()
-    )
-}
-
-/// Both tables as CSV.
-pub fn render_csv(rows: &[FamilyOutcomes]) -> String {
-    format!(
-        "{}{}",
-        scoreboard_table(rows).to_csv(),
-        population_table(rows).to_csv()
-    )
-}
-
 /// The machine-readable report (schema `mtt-e10-scoreboard` v1):
 /// options, population, per-tool rows, and per-family member outcomes.
 pub fn gen_eval_json(opts: &GenEvalOptions, rows: &[FamilyOutcomes]) -> Json {
@@ -497,7 +474,7 @@ mod tests {
 
     #[test]
     fn gen_eval_covers_every_family_and_tool() {
-        let rows = run_gen_eval(&tiny());
+        let rows = run_gen_eval_on(&tiny(), &JobPool::serial());
         assert_eq!(rows.len(), 4);
         // Round-robin pattern order.
         assert_eq!(
@@ -522,7 +499,7 @@ mod tests {
         // The generator's proptests guarantee buggy members statically
         // exhibit their class and benign twins are diagnostic-free, so
         // the signature static rows must show zero FP and zero FN here.
-        let rows = run_gen_eval(&tiny());
+        let rows = run_gen_eval_on(&tiny(), &JobPool::serial());
         for r in score_tools(&rows) {
             if r.kind == "static" {
                 assert_eq!(r.score.fp, 0, "{} fp", r.tool);
@@ -537,7 +514,7 @@ mod tests {
 
     #[test]
     fn dynamic_tools_score_within_their_class_scope() {
-        let rows = run_gen_eval(&tiny());
+        let rows = run_gen_eval_on(&tiny(), &JobPool::serial());
         let by_tool = |name: &str| {
             score_tools(&rows)
                 .into_iter()
@@ -551,18 +528,5 @@ mod tests {
         // Robust totals count only families of the tool's class.
         assert_eq!(lockset.robust_total, 1, "one race family in 4");
         assert_eq!(lockorder.robust_total, 1, "one dlock family in 4");
-    }
-
-    #[test]
-    fn report_is_identical_across_job_counts() {
-        let opts = tiny();
-        let serial = run_gen_eval_on(&opts, &JobPool::new(1));
-        let par = run_gen_eval_on(&opts, &JobPool::new(4));
-        assert_eq!(render_report(&serial), render_report(&par));
-        assert_eq!(render_csv(&serial), render_csv(&par));
-        assert_eq!(
-            gen_eval_json(&opts, &serial).dump(),
-            gen_eval_json(&opts, &par).dump()
-        );
     }
 }

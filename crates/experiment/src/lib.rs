@@ -10,10 +10,11 @@
 //! compared to alternative approaches."
 //!
 //! Each `*_eval` module is one such prepared experiment (the experiment ids
-//! E1–E11 are indexed in DESIGN.md §6 and EXPERIMENTS.md); the `mtt` binary
-//! is the push button. [`stats`] holds the shared statistical machinery
-//! (Wilson confidence intervals, outcome-distribution measures), and
-//! [`report`] renders every experiment as aligned text tables plus CSV.
+//! E1–E13 are indexed in DESIGN.md §6 and EXPERIMENTS.md); the `mtt` binary
+//! is the push button, and [`registry`] lists every experiment once for it.
+//! [`stats`] holds the shared statistical machinery (Wilson confidence
+//! intervals, outcome-distribution measures), and [`report`] renders every
+//! experiment as aligned text tables, CSV, or JSON.
 //!
 //! [`jobpool`] is the parallel execution layer: every experiment's run
 //! matrix shards across `--jobs` workers, and because each run is a pure
@@ -32,6 +33,7 @@ pub mod gen_eval;
 pub mod jobpool;
 pub mod multiout_eval;
 pub mod profile;
+pub mod registry;
 pub mod replay_eval;
 pub mod report;
 pub mod saturation_eval;
@@ -44,5 +46,5 @@ pub use campaign::{Campaign, CampaignReport, CampaignRun, ToolConfig};
 pub use explain::{explain_on, ExplainOptions, Explanation};
 pub use jobpool::{JobPool, PoolStats};
 pub use profile::{run_profile, ProfileOptions, ProfileReport, PROFILE_KEYS};
-pub use report::Table;
+pub use report::{Format, Report, Table};
 pub use stats::{entropy, total_variation, Distribution, FindStats};

@@ -44,25 +44,16 @@ pub struct MultioutRow {
     pub values: Distribution,
 }
 
-/// Run the multiout program `runs` times under each configuration and
-/// collect the outcome-signature distributions.
-pub fn run_multiout_eval(runs: u64, base_seed: u64) -> Vec<MultioutRow> {
-    run_multiout_eval_on(runs, base_seed, &JobPool::serial())
-}
-
-/// [`run_multiout_eval`], sharding the whole (configuration × seed) matrix
-/// across a job pool. Distributions are count maps, so folding the
-/// per-run signatures in canonical order reproduces the serial result
-/// exactly at any worker count.
-pub fn run_multiout_eval_on(runs: u64, base_seed: u64, pool: &JobPool) -> Vec<MultioutRow> {
-    run_multiout_eval_with(runs, base_seed, standard_configs(), pool)
-}
-
-/// [`run_multiout_eval_on`] over an explicit tool roster (the `--tools` /
-/// `--tools-file` path). Only each tool's scheduler and noise components
-/// matter to the distribution comparison; the E5 driver seeds the noise
-/// maker with `seed ^ 0xabcd`, matching its historical behavior.
-pub fn run_multiout_eval_with(
+/// Run the multiout program `runs` times under each configuration
+/// ([`standard_configs`], or the `--tools` roster) and collect the
+/// outcome-signature distributions, sharding the whole (configuration ×
+/// seed) matrix across a job pool. Distributions are count maps, so
+/// folding the per-run signatures in canonical order reproduces the serial
+/// result exactly at any worker count. Only each tool's scheduler and
+/// noise components matter to the distribution comparison; the E5 driver
+/// seeds the noise maker with `seed ^ 0xabcd`, matching its historical
+/// behavior.
+pub fn run_multiout_eval_on(
     runs: u64,
     base_seed: u64,
     configs: Vec<ToolConfig>,
@@ -141,7 +132,7 @@ mod tests {
 
     #[test]
     fn multiout_distributions_rank_as_expected() {
-        let results = run_multiout_eval(60, 11);
+        let results = run_multiout_eval_on(60, 11, standard_configs(), &JobPool::serial());
         let by = |n: &str| {
             results
                 .iter()

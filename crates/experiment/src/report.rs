@@ -1,5 +1,8 @@
 //! Report rendering: aligned text tables ("a prepared evaluation report,
-//! which is easy to understand") plus CSV for machine consumption.
+//! which is easy to understand") plus CSV and JSON for machine
+//! consumption.
+
+use mtt_json::Json;
 
 /// A simple column-aligned table.
 #[derive(Clone, Debug, Default)]
@@ -93,6 +96,78 @@ impl Table {
             out.push('\n');
         }
         out
+    }
+}
+
+/// The three views of a [`Report`]: text by default, `--csv`, `--json`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Format {
+    /// Every table aligned, then the text tail.
+    Text,
+    /// Every table as CSV, concatenated.
+    Csv,
+    /// The JSON view.
+    Json,
+}
+
+impl Format {
+    /// The command-line flag that selects this view.
+    pub fn flag(self) -> &'static str {
+        match self {
+            Format::Text => "",
+            Format::Csv => "--csv",
+            Format::Json => "--json",
+        }
+    }
+}
+
+/// What one experiment prints: its tables, a text tail after them, and
+/// an optional JSON view that is built only when it is rendered.
+#[derive(Default)]
+pub struct Report {
+    /// The tables, in print order.
+    tables: Vec<Table>,
+    /// Text printed after the tables, in the text view only (a report
+    /// without tables prints it as its CSV view too).
+    tail: String,
+    json: Option<Box<dyn Fn() -> Json>>,
+}
+
+impl Report {
+    /// A report of `tables` with no tail and no JSON view.
+    pub fn new(tables: Vec<Table>) -> Self {
+        Report {
+            tables,
+            ..Report::default()
+        }
+    }
+
+    /// Set the text tail (builder style).
+    pub fn with_tail(mut self, tail: String) -> Self {
+        self.tail = tail;
+        self
+    }
+
+    /// Give the report a JSON view (builder style).
+    pub fn with_json(mut self, json: impl Fn() -> Json + 'static) -> Self {
+        self.json = Some(Box::new(json));
+        self
+    }
+
+    /// Render one view; `None` for JSON without a view set by
+    /// [`Report::with_json`]. A report with no tables is one block of
+    /// text, which its CSV view prints as well.
+    pub fn render(&self, format: Format) -> Option<String> {
+        match format {
+            Format::Text => {
+                let mut out: String = self.tables.iter().map(|t| t.render() + "\n").collect();
+                out.push_str(&self.tail);
+                Some(out)
+            }
+            Format::Csv if self.tables.is_empty() => Some(self.tail.clone()),
+            Format::Csv => Some(self.tables.iter().map(Table::to_csv).collect()),
+            Format::Json => self.json.as_ref().map(|json| json().dump() + "\n"),
+        }
     }
 }
 

@@ -118,11 +118,6 @@ pub fn run_fingerprint(program: &Program, cfg: &ToolConfig, seed: u64, max_steps
     fp.to_hex()
 }
 
-/// Run E12 serially.
-pub fn run_saturation(runs: u64) -> Vec<SaturationCell> {
-    run_saturation_on(runs, &JobPool::serial())
-}
-
 /// Run E12, sharding one job per (program × tool) cell across `pool`.
 /// Every run inside a cell is seeded from the run index alone, so cells
 /// come back identical (and in grid order) at any worker count.
@@ -185,16 +180,6 @@ pub fn saturation_table(cells: &[SaturationCell]) -> Table {
     t
 }
 
-/// The full text report — what `mtt e12` prints and the golden test pins.
-pub fn render_report(cells: &[SaturationCell]) -> String {
-    format!("{}\n", saturation_table(cells).render())
-}
-
-/// The table as CSV.
-pub fn render_csv(cells: &[SaturationCell]) -> String {
-    saturation_table(cells).to_csv()
-}
-
 /// The machine-readable report, rarefaction curves included.
 pub fn saturation_json(cells: &[SaturationCell]) -> Json {
     let arr = cells
@@ -231,7 +216,7 @@ mod tests {
 
     #[test]
     fn grid_covers_programs_times_roster_and_curves_are_sane() {
-        let cells = run_saturation(8);
+        let cells = run_saturation_on(8, &JobPool::serial());
         assert_eq!(
             cells.len(),
             saturation_programs().len() * SATURATION_ROSTER_SPECS.len()
@@ -249,7 +234,7 @@ mod tests {
 
     #[test]
     fn fifo_is_fully_saturated_and_noise_expands_the_space() {
-        let cells = run_saturation(10);
+        let cells = run_saturation_on(10, &JobPool::serial());
         let cell = |tool: &str, program: &str| {
             cells
                 .iter()
@@ -273,18 +258,6 @@ mod tests {
             sticky.distinct
         );
         assert!(noisy.distinct > 1, "noise finds more than one schedule");
-    }
-
-    #[test]
-    fn report_is_identical_across_job_counts() {
-        let serial = run_saturation_on(6, &JobPool::new(1));
-        let par = run_saturation_on(6, &JobPool::new(4));
-        assert_eq!(render_report(&serial), render_report(&par));
-        assert_eq!(render_csv(&serial), render_csv(&par));
-        assert_eq!(
-            saturation_json(&serial).dump(),
-            saturation_json(&par).dump()
-        );
     }
 
     #[test]

@@ -184,11 +184,6 @@ pub fn dynamic_warned(
     false
 }
 
-/// Run E11 serially.
-pub fn run_scoreboard(runs: u64) -> Vec<SampleOutcomes> {
-    run_scoreboard_on(runs, &JobPool::serial())
-}
-
 /// Run E11, sharding one job per MiniProg sample across `pool`. Every run
 /// inside a job is seeded from the run index alone, so rows come back
 /// identical (and in catalog order) at any worker count.
@@ -378,24 +373,6 @@ pub fn class_table(rows: &[SampleOutcomes]) -> Table {
     t
 }
 
-/// The full text report — what `mtt e11` prints and the golden test pins.
-pub fn render_report(rows: &[SampleOutcomes]) -> String {
-    format!(
-        "{}\n{}\n",
-        scoreboard_table(rows).render(),
-        class_table(rows).render()
-    )
-}
-
-/// Both tables as CSV.
-pub fn render_csv(rows: &[SampleOutcomes]) -> String {
-    format!(
-        "{}{}",
-        scoreboard_table(rows).to_csv(),
-        class_table(rows).to_csv()
-    )
-}
-
 /// The machine-readable report: samples, per-tool rows, per-class unions.
 pub fn scoreboard_json(rows: &[SampleOutcomes]) -> Json {
     let samples = rows
@@ -484,7 +461,7 @@ mod tests {
 
     #[test]
     fn scoreboard_covers_catalog_and_roster() {
-        let rows = run_scoreboard(8);
+        let rows = run_scoreboard_on(8, &JobPool::serial());
         assert_eq!(rows.len(), samples::catalog().len());
         for r in &rows {
             assert_eq!(r.dynamic.len(), SCOREBOARD_ROSTER_SPECS.len());
@@ -498,7 +475,7 @@ mod tests {
 
     #[test]
     fn static_and_dynamic_tools_score_their_signature_bugs() {
-        let rows = run_scoreboard(12);
+        let rows = run_scoreboard_on(12, &JobPool::serial());
         let by_tool = |name: &str| {
             score_tools(&rows)
                 .into_iter()
@@ -538,17 +515,5 @@ mod tests {
             .expect("MissedSignal documented in the catalog");
         assert!(missed.1.tp >= 1, "static side predicts MissedSignal");
         assert_eq!(missed.2.tp, 0, "no dynamic detector claims MissedSignal");
-    }
-
-    #[test]
-    fn report_is_identical_across_job_counts() {
-        let serial = run_scoreboard_on(6, &JobPool::new(1));
-        let par = run_scoreboard_on(6, &JobPool::new(4));
-        assert_eq!(render_report(&serial), render_report(&par));
-        assert_eq!(render_csv(&serial), render_csv(&par));
-        assert_eq!(
-            scoreboard_json(&serial).dump(),
-            scoreboard_json(&par).dump()
-        );
     }
 }

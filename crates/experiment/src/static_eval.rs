@@ -84,14 +84,9 @@ fn advised_points(info: &StaticInfo) -> usize {
         .count()
 }
 
-/// Run E7 across all MiniProg samples.
-pub fn run_static_eval(runs: u64) -> Vec<StaticRow> {
-    run_static_eval_on(runs, &JobPool::serial())
-}
-
-/// [`run_static_eval`], sharding one job per MiniProg sample across a job
-/// pool (analysis plus the seeded find-rate runs are the per-sample cost).
-/// Rows come back in catalog order at any worker count.
+/// Run E7 across all MiniProg samples, sharding one job per sample across
+/// a job pool (analysis plus the seeded find-rate runs are the per-sample
+/// cost). Rows come back in catalog order at any worker count.
 pub fn run_static_eval_on(runs: u64, pool: &JobPool) -> Vec<StaticRow> {
     let catalog = samples::catalog();
     pool.run(catalog.len(), |i| {
@@ -287,7 +282,7 @@ mod tests {
 
     #[test]
     fn advice_reduces_events_and_static_flags_match_ground_truth() {
-        let rows = run_static_eval(20);
+        let rows = run_static_eval_on(20, &JobPool::serial());
         assert!(rows.len() >= 12, "full catalog: got {}", rows.len());
         let by = |n: &str| rows.iter().find(|r| r.program == n).unwrap();
 
@@ -319,7 +314,7 @@ mod tests {
 
     #[test]
     fn mhp_advice_beats_escape_only_on_fully_locked_samples() {
-        let rows = run_static_eval(2);
+        let rows = run_static_eval_on(2, &JobPool::serial());
         let by = |n: &str| rows.iter().find(|r| r.program == n).unwrap();
 
         // In the fixed lost-update every access to the shared counters is
@@ -354,7 +349,7 @@ mod tests {
 
     #[test]
     fn per_class_scores_reflect_the_seeded_benchmark() {
-        let rows = run_static_eval(20);
+        let rows = run_static_eval_on(20, &JobPool::serial());
         let scores = score_classes(&rows);
         let by = |c: &str| {
             scores

@@ -191,17 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_generation_matches_serial() {
-        let p = mtt_suite::small::lost_update(2, 2);
-        let serial = generate_many(&p, &TraceGenOptions::default(), 6);
-        let par = generate_many_on(&p, &TraceGenOptions::default(), 6, &JobPool::new(3));
-        assert_eq!(serial.len(), par.len());
-        for (a, b) in serial.iter().zip(&par) {
-            assert_eq!(a, b, "trace diverged between serial and parallel");
-        }
-    }
-
-    #[test]
     fn manifested_bugs_match_oracle() {
         // Scan seeds until a trace where the bug manifested; its meta must
         // say so.

@@ -2,18 +2,12 @@
 //! paper-facing surfaces (repository listing, single runs, trace
 //! generation) behave.
 
+use mtt_experiment::registry::{Flag, EXPERIMENTS};
 use std::process::Command;
 
 fn mtt(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(env!("CARGO_BIN_EXE_mtt"))
-        .args(args)
-        .output()
-        .expect("mtt binary runs");
-    (
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
-    )
+    let (stdout, stderr, code) = mtt_code(args);
+    (stdout, stderr, code == 0)
 }
 
 /// Like [`mtt`] but returning the exact exit code (for the exit-convention
@@ -73,46 +67,23 @@ fn unknown_command_prints_usage() {
 }
 
 #[test]
-fn help_prints_usage_and_succeeds() {
+fn help_prints_the_generated_usage() {
+    // `mtt help` prints `cli_spec::usage()`; the `cli_spec` unit tests
+    // check that it covers every command, experiment and global flag.
     let (stdout, _, ok) = mtt(&["help"]);
     assert!(ok, "`mtt help` must exit 0");
-    assert!(stdout.contains("usage"));
-    assert!(
-        stdout.contains("--jobs"),
-        "global flags documented: {stdout}"
-    );
-}
-
-#[test]
-fn help_covers_the_whole_cli_surface() {
-    // The help text is generated from `cli_spec`, so every subcommand the
-    // dispatcher knows and every global flag the parser accepts must appear
-    // in it — including historical drift victims like profile's --timing.
-    let (stdout, _, ok) = mtt(&["help"]);
-    assert!(ok);
-    for c in mtt_experiment::cli_spec::SUBCOMMANDS {
-        assert!(
-            stdout.contains(c.name),
-            "help missing subcommand `{}`",
-            c.name
-        );
-    }
-    for f in mtt_experiment::cli_spec::GLOBAL_FLAGS {
-        assert!(stdout.contains(f.flags), "help missing flag `{}`", f.flags);
-    }
-    assert!(stdout.contains("--timing"), "profile --timing documented");
+    assert_eq!(stdout, format!("{}\n", mtt_experiment::cli_spec::usage()));
 }
 
 #[test]
 fn readme_documents_every_subcommand() {
     let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
         .expect("workspace README exists");
-    for c in mtt_experiment::cli_spec::SUBCOMMANDS {
+    let commands = mtt_experiment::cli_spec::SUBCOMMANDS.iter().map(|c| c.name);
+    for name in commands.chain(EXPERIMENTS.iter().map(|e| e.name)) {
         assert!(
-            readme.contains(&format!("mtt {}", c.name))
-                || readme.contains(&format!("`{}`", c.name)),
-            "README command table missing `mtt {}`",
-            c.name
+            readme.contains(&format!("mtt {name}")) || readme.contains(&format!("`{name}`")),
+            "README command table missing `mtt {name}`"
         );
     }
     assert!(
@@ -165,14 +136,30 @@ fn jobs_flag_rejects_missing_and_malformed_values() {
 }
 
 #[test]
-fn cli_output_is_identical_across_job_counts() {
+fn experiment_stdout_is_identical_across_job_counts() {
     // The end-to-end determinism claim, at the process boundary: the same
-    // experiment through the real binary, serial vs parallel, byte for byte.
-    let (serial, _, ok) = mtt(&["e5", "6", "--jobs", "1", "--quiet"]);
-    assert!(ok);
-    let (par, _, ok) = mtt(&["e5", "6", "--jobs", "4", "--quiet"]);
-    assert!(ok);
-    assert_eq!(serial, par, "mtt e5 stdout diverged between --jobs 1 and 4");
+    // experiment through the real binary, byte for byte at every --jobs.
+    let cases: [&[&str]; 3] = [
+        &["e5", "6"],
+        &["e10", "--families", "4", "--runs", "2"],
+        &["e12", "8", "--json"],
+    ];
+    for args in cases {
+        let run = |jobs| {
+            let (stdout, stderr, ok) = mtt(&[args, &["--quiet", "--jobs", jobs]].concat());
+            assert!(ok, "stderr: {stderr}");
+            stdout
+        };
+        let serial = run("1");
+        for jobs in ["2", "4", "8"] {
+            assert_eq!(
+                serial,
+                run(jobs),
+                "`mtt {}` diverged at --jobs {jobs}",
+                args.join(" ")
+            );
+        }
+    }
 }
 
 #[test]
@@ -382,34 +369,6 @@ fn e10_rejects_malformed_seed_and_families_with_exit_2() {
 }
 
 #[test]
-fn e10_output_is_identical_across_job_counts() {
-    // The E10 determinism claim at the process boundary: same scoreboard,
-    // byte for byte, whatever the worker count.
-    let args = |jobs: &'static str| {
-        [
-            "e10",
-            "--families",
-            "4",
-            "--runs",
-            "2",
-            "--quiet",
-            "--jobs",
-            jobs,
-        ]
-    };
-    let (serial, stderr, ok) = mtt(&args("1"));
-    assert!(ok, "stderr: {stderr}");
-    let (par, stderr, ok) = mtt(&args("4"));
-    assert!(ok, "stderr: {stderr}");
-    assert_eq!(
-        serial, par,
-        "mtt e10 stdout diverged between --jobs 1 and 4"
-    );
-    assert!(serial.contains("E10"), "{serial}");
-    assert!(serial.contains("robust"), "{serial}");
-}
-
-#[test]
 fn e10_json_is_schema_stamped() {
     let (stdout, stderr, ok) = mtt(&["e10", "--families", "4", "--runs", "2", "--quiet", "--json"]);
     assert!(ok, "stderr: {stderr}");
@@ -468,16 +427,18 @@ fn e12_prints_saturation_scoreboard_in_all_formats() {
 }
 
 #[test]
-fn e12_is_byte_identical_across_process_level_job_counts() {
-    // The differential at the process boundary: the whole binary, not
-    // just the library, must emit identical bytes at every --jobs.
-    let reference = mtt(&["e12", "8", "--quiet", "--jobs", "1", "--json"]);
-    assert!(reference.2, "stderr: {}", reference.1);
-    for jobs in ["2", "4", "8"] {
-        let (stdout, stderr, ok) = mtt(&["e12", "8", "--quiet", "--jobs", jobs, "--json"]);
-        assert!(ok, "stderr: {stderr}");
-        assert_eq!(stdout, reference.0, "e12 JSON diverged at --jobs {jobs}");
-    }
+fn e13_view_precedence_is_json_then_model_csv_then_csv() {
+    let (model, stderr, ok) = mtt(&["e13", "1", "--quiet", "--model-csv"]);
+    assert!(ok, "stderr: {stderr}");
+    let (csv, stderr, ok) = mtt(&["e13", "1", "--quiet", "--model-csv", "--csv"]);
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(model, csv, "--model-csv wins over --csv");
+    let (json, stderr, ok) = mtt(&["e13", "1", "--quiet", "--json", "--model-csv"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        json.starts_with("{\"schema\":\"mtt-e13-differential\""),
+        "{json}"
+    );
 }
 
 #[test]
@@ -503,4 +464,61 @@ fn path_flags_reject_flag_shaped_arguments() {
     assert_eq!(code, 2, "stderr: {stderr}");
     assert!(stderr.contains("--metrics needs a file path"), "{stderr}");
     assert!(!std::path::Path::new("--journal").exists());
+}
+
+#[test]
+fn experiments_reject_global_flags_they_do_not_read() {
+    // Every (row, flag it does not read) pair exits 2 before any work, so
+    // no flag is accepted and then silently dropped.
+    let dir = std::env::temp_dir().join(format!("mtt-unread-flags-{}", std::process::id()));
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (journal, metrics) = (path("journal"), path("run.ndjson"));
+    let value = |flag: Flag| -> Vec<&str> {
+        match flag {
+            Flag::Budget => vec!["--budget-ms", "100"],
+            Flag::Metrics => vec!["--metrics", &metrics],
+            Flag::Tools => vec!["--tools", "fifo"],
+            Flag::Journal => vec!["--journal", &journal],
+            Flag::Resume => vec!["--resume"],
+            Flag::Backend => vec!["--backend", "native"],
+        }
+    };
+    for row in EXPERIMENTS {
+        for flag in Flag::ALL.into_iter().filter(|&f| !row.reads(f)) {
+            let mut args = vec![row.name, "--quiet"];
+            args.extend(value(flag));
+            let (_, stderr, code) = mtt_code(&args);
+            assert_eq!(code, 2, "`mtt {}` accepted: {stderr}", args.join(" "));
+            assert!(
+                stderr.contains(&flag.spelling()) && stderr.contains(&format!("`{}`", row.name)),
+                "message must name the flag and the command: {stderr}"
+            );
+        }
+    }
+    // `all` takes only what every row it runs reads; e8 reads no journal.
+    let (_, stderr, code) = mtt_code(&["all", "--quiet", "--journal", &journal]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    // Among the pairs above: `mtt e8 --journal DIR` must not create DIR.
+    assert!(
+        !dir.join("journal").exists(),
+        "a rejected --journal created its directory"
+    );
+    assert!(!dir.join("run.ndjson").exists());
+    // A view a row lacks is rejected before the row opens its journal.
+    for args in [["e2", "--json"], ["cloning", "--csv"]] {
+        let (_, stderr, code) =
+            mtt_code(&[args[0], "2", args[1], "--quiet", "--journal", &journal]);
+        assert_eq!(code, 2, "`mtt {}` accepted: {stderr}", args.join(" "));
+        assert!(stderr.contains(args[1]), "{stderr}");
+        assert!(
+            !dir.join("journal").exists(),
+            "`mtt {}` opened its journal",
+            args.join(" ")
+        );
+    }
+    // Non-experiment commands reject what they do not read as well.
+    let (_, stderr, code) = mtt_code(&["explain", "lost_update", "--quiet", "--metrics", &metrics]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(stderr.contains("not supported by `explain`"), "{stderr}");
+    assert!(!dir.join("run.ndjson").exists());
 }

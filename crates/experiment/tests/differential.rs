@@ -1,17 +1,15 @@
 //! Differential tests: the parallel execution layer's correctness oracle.
 //!
-//! Every prepared experiment that gained `--jobs` must produce **byte
-//! identical** rendered reports (text and CSV) whatever the worker count,
-//! because a run is a function of its seed, not of the thread that happened
-//! to execute it. These tests run each experiment serially and with
-//! `jobs = 2, 4, 8` and compare the bytes.
+//! Every prepared experiment must produce **byte identical** rendered
+//! reports (text, CSV and JSON) whatever the worker count, because a run
+//! is a function of its seed, not of the thread that happened to execute
+//! it. These tests run each experiment serially and with `jobs = 2, 4, 8`
+//! and compare the bytes.
 
 use mtt_experiment::campaign::{Campaign, CampaignReport, ToolConfig};
 use mtt_experiment::jobpool::JobPool;
-use mtt_experiment::{
-    coverage_eval, detector_eval, explore_eval, gen_eval, multiout_eval, replay_eval, static_eval,
-    tracegen,
-};
+use mtt_experiment::registry::{Ctx, Experiment, Flags, EXPERIMENTS};
+use mtt_experiment::{tracegen, Format};
 
 const JOB_COUNTS: [usize; 3] = [2, 4, 8];
 
@@ -38,7 +36,7 @@ fn campaign_bytes(report: &CampaignReport) -> (String, String, String) {
     (
         report.table().render(),
         report.table().to_csv(),
-        report.per_bug_table("lost_update").render(),
+        report.per_bug_table("lost_update").render() + &report.per_bug_table("ab_ba").render(),
     )
 }
 
@@ -115,120 +113,61 @@ fn telemetry_does_not_change_the_report() {
     );
 }
 
-#[test]
-fn detector_eval_reports_are_byte_identical() {
-    let programs = vec![
-        mtt_suite::small::lost_update(2, 2),
-        mtt_suite::small::missed_signal(),
-    ];
-    let serial = detector_eval::run_detector_eval_on(&programs, 4, &JobPool::serial());
-    for jobs in JOB_COUNTS {
-        let par = detector_eval::run_detector_eval_on(&programs, 4, &JobPool::new(jobs));
-        assert_eq!(
-            serial.table().render(),
-            par.table().render(),
-            "E2 table diverged at jobs={jobs}"
-        );
-        assert_eq!(serial.table().to_csv(), par.table().to_csv());
-    }
+/// Small arguments for every registry row; a row missing here fails
+/// [`every_experiment_is_byte_identical_across_job_counts`]. E13's native
+/// legs are real concurrency, so only its model legs are compared.
+const SMALL_ARGS: &[(&str, &[&str])] = &[
+    ("e1", &["2"]),
+    ("e1-detail", &["lost_update", "4"]),
+    ("cloning", &["6"]),
+    ("e2", &["2"]),
+    ("e3", &["4"]),
+    ("e4", &["lost_update", "8"]),
+    ("e5", &["8"]),
+    ("e6", &["300"]),
+    ("e7", &["2"]),
+    ("e10", &["--families", "4", "--runs", "1"]),
+    ("e11", &["2"]),
+    ("e12", &["3"]),
+    ("e13", &["2", "--model-csv"]),
+];
+
+/// The text view and every view the row declares, of its report on `pool`.
+fn views(row: &Experiment, args: &[&str], pool: JobPool) -> Vec<String> {
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    let ctx = Ctx::new(pool, Flags::default(), row.name);
+    let report = (row.run)(&args, &ctx).expect("experiment runs");
+    std::iter::once(&Format::Text)
+        .chain(row.views)
+        // E13's JSON holds its native legs too.
+        .filter(|&&f| !(row.name == "e13" && f == Format::Json))
+        .map(|&f| {
+            report
+                .render(f)
+                .unwrap_or_else(|| panic!("`{}` declares a {f:?} view it lacks", row.name))
+        })
+        .collect()
 }
 
 #[test]
-fn coverage_eval_reports_are_byte_identical() {
-    let p = mtt_suite::small::lost_update(2, 2);
-    let serial = coverage_eval::run_coverage_eval_on(&p, 10, 0, &JobPool::serial());
-    let serial_table = coverage_eval::coverage_table("lost_update", &serial);
-    for jobs in JOB_COUNTS {
-        let par = coverage_eval::run_coverage_eval_on(&p, 10, 0, &JobPool::new(jobs));
-        let par_table = coverage_eval::coverage_table("lost_update", &par);
-        assert_eq!(
-            serial_table.render(),
-            par_table.render(),
-            "E4 table diverged at jobs={jobs}"
-        );
-        assert_eq!(serial_table.to_csv(), par_table.to_csv());
-    }
-}
-
-#[test]
-fn multiout_eval_reports_are_byte_identical() {
-    let serial = multiout_eval::multiout_table(&multiout_eval::run_multiout_eval_on(
-        12,
-        7,
-        &JobPool::serial(),
-    ));
-    for jobs in JOB_COUNTS {
-        let par = multiout_eval::multiout_table(&multiout_eval::run_multiout_eval_on(
-            12,
-            7,
-            &JobPool::new(jobs),
-        ));
-        assert_eq!(
-            serial.render(),
-            par.render(),
-            "E5 table diverged at jobs={jobs}"
-        );
-        assert_eq!(serial.to_csv(), par.to_csv());
-    }
-}
-
-#[test]
-fn explore_eval_reports_are_byte_identical() {
-    let programs = vec![
-        mtt_suite::small::lost_update(2, 1),
-        mtt_suite::small::ab_ba(),
-    ];
-    let serial = explore_eval::explore_table(&explore_eval::run_explore_eval_on(
-        &programs,
-        500,
-        &JobPool::serial(),
-    ));
-    for jobs in JOB_COUNTS {
-        let par = explore_eval::explore_table(&explore_eval::run_explore_eval_on(
-            &programs,
-            500,
-            &JobPool::new(jobs),
-        ));
-        assert_eq!(
-            serial.render(),
-            par.render(),
-            "E6 table diverged at jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn replay_eval_reports_are_byte_identical() {
-    let serial = replay_eval::replay_table(&replay_eval::run_replay_eval_on(
-        6,
-        &[0, 4],
-        &JobPool::serial(),
-    ));
-    for jobs in JOB_COUNTS {
-        let par = replay_eval::replay_table(&replay_eval::run_replay_eval_on(
-            6,
-            &[0, 4],
-            &JobPool::new(jobs),
-        ));
-        assert_eq!(
-            serial.render(),
-            par.render(),
-            "E3 table diverged at jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn static_eval_reports_are_byte_identical() {
-    let serial = static_eval::static_table(&static_eval::run_static_eval_on(6, &JobPool::serial()));
-    for jobs in JOB_COUNTS {
-        let par =
-            static_eval::static_table(&static_eval::run_static_eval_on(6, &JobPool::new(jobs)));
-        assert_eq!(
-            serial.render(),
-            par.render(),
-            "E7 table diverged at jobs={jobs}"
-        );
+fn every_experiment_is_byte_identical_across_job_counts() {
+    for row in EXPERIMENTS {
+        if row.name == "e8" {
+            continue; // E8 reports wall-clock times, which differ run to run.
+        }
+        let (_, args) = SMALL_ARGS
+            .iter()
+            .find(|(name, _)| *name == row.name)
+            .unwrap_or_else(|| panic!("no small arguments for `{}` in SMALL_ARGS", row.name));
+        let serial = views(row, args, JobPool::serial());
+        for jobs in JOB_COUNTS {
+            assert_eq!(
+                serial,
+                views(row, args, JobPool::new(jobs)),
+                "`{}` diverged at jobs={jobs}",
+                row.name
+            );
+        }
     }
 }
 
@@ -237,14 +176,17 @@ fn tracegen_output_is_identical_across_job_counts() {
     let p = mtt_suite::small::lost_update(2, 2);
     let opts = tracegen::TraceGenOptions::default();
     let serial = tracegen::generate_many_on(&p, &opts, 8, &JobPool::serial());
-    for jobs in JOB_COUNTS {
+    // An odd worker count too: 8 traces do not split evenly over 3.
+    for jobs in [2, 3, 4, 8] {
         let par = tracegen::generate_many_on(&p, &opts, 8, &JobPool::new(jobs));
+        assert_eq!(serial.len(), par.len());
         for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
             assert_eq!(
                 mtt_trace::json::to_string(a),
                 mtt_trace::json::to_string(b),
                 "trace {i} diverged at jobs={jobs}"
             );
+            assert_eq!(a, b, "trace {i} diverged at jobs={jobs}");
         }
     }
 }
@@ -252,74 +194,37 @@ fn tracegen_output_is_identical_across_job_counts() {
 #[test]
 fn explain_output_is_byte_identical_across_job_counts() {
     // `mtt explain` scans seeds on the pool and renders pure functions of
-    // the chosen seeds, so every rendering — summary, timeline (text and
-    // CSV), diff, annotated NDJSON — must be byte-identical at any worker
-    // count.
-    let p = mtt_suite::small::lost_update(2, 2);
+    // the chosen seeds, so the seeds and every rendering — summary,
+    // timeline (text and CSV), diff, annotated NDJSON — must be the same
+    // at any worker count.
     let opts = mtt_experiment::ExplainOptions {
         scan: 64,
         max_steps: 20_000,
         ..Default::default()
     };
-    let serial = mtt_experiment::explain_on(&p, &opts, &JobPool::serial()).unwrap();
-    for jobs in JOB_COUNTS {
-        let par = mtt_experiment::explain_on(&p, &opts, &JobPool::new(jobs)).unwrap();
-        assert_eq!(
-            serial.render_summary(),
-            par.render_summary(),
-            "explain summary diverged at jobs={jobs}"
-        );
-        assert_eq!(
-            serial.render_timeline(),
-            par.render_timeline(),
-            "explain timeline diverged at jobs={jobs}"
-        );
-        assert_eq!(serial.timeline_csv(), par.timeline_csv());
-        assert_eq!(
-            serial.render_diff(),
-            par.render_diff(),
-            "explain diff diverged at jobs={jobs}"
-        );
-        assert_eq!(serial.diff_csv(), par.diff_csv());
-        assert_eq!(
-            serial.annotated_ndjson(),
-            par.annotated_ndjson(),
-            "annotated NDJSON diverged at jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn gen_eval_reports_are_byte_identical() {
-    // `mtt e10` text + CSV + JSON at jobs 1/2/4/8: every family is a
-    // pure function of (seed, index) and every execution is seeded, so
-    // the scoreboard must not move by a byte with the worker count.
-    let opts = gen_eval::GenEvalOptions {
-        seed: 42,
-        families: 6,
-        runs: 2,
+    let bytes = |e: &mtt_experiment::Explanation| {
+        (
+            (e.fail_seed, e.pass_seed),
+            e.render_summary(),
+            (e.render_timeline(), e.timeline_csv()),
+            (e.render_diff(), e.diff_csv()),
+            e.annotated_ndjson(),
+        )
     };
-    let serial = gen_eval::run_gen_eval_on(&opts, &JobPool::serial());
-    let serial_text = gen_eval::render_report(&serial);
-    let serial_csv = gen_eval::render_csv(&serial);
-    let serial_json = gen_eval::gen_eval_json(&opts, &serial).dump();
-    for jobs in JOB_COUNTS {
-        let par = gen_eval::run_gen_eval_on(&opts, &JobPool::new(jobs));
-        assert_eq!(
-            serial_text,
-            gen_eval::render_report(&par),
-            "E10 text diverged at jobs={jobs}"
-        );
-        assert_eq!(
-            serial_csv,
-            gen_eval::render_csv(&par),
-            "E10 CSV diverged at jobs={jobs}"
-        );
-        assert_eq!(
-            serial_json,
-            gen_eval::gen_eval_json(&opts, &par).dump(),
-            "E10 JSON diverged at jobs={jobs}"
-        );
+    for p in [
+        mtt_suite::small::lost_update(2, 2),
+        mtt_suite::small::check_then_act(),
+    ] {
+        let serial = bytes(&mtt_experiment::explain_on(&p, &opts, &JobPool::serial()).unwrap());
+        for jobs in JOB_COUNTS {
+            let par = mtt_experiment::explain_on(&p, &opts, &JobPool::new(jobs)).unwrap();
+            assert_eq!(
+                serial,
+                bytes(&par),
+                "{}: explain diverged at jobs={jobs}",
+                p.name
+            );
+        }
     }
 }
 
@@ -329,25 +234,14 @@ fn gen_eval_reports_are_byte_identical() {
 #[test]
 #[ignore = "slow: 200-family E10 differential, exercised by the CI variant-families step"]
 fn gen_eval_differential_high_volume() {
-    let opts = gen_eval::GenEvalOptions {
-        seed: 42,
-        families: 200,
-        runs: 2,
-    };
-    let serial = gen_eval::run_gen_eval_on(&opts, &JobPool::serial());
-    let serial_text = gen_eval::render_report(&serial);
-    let serial_csv = gen_eval::render_csv(&serial);
+    let row = mtt_experiment::registry::find("e10").expect("e10 is registered");
+    let args = ["--seed", "42", "--families", "200", "--runs", "2"];
+    let serial = views(row, &args, JobPool::serial());
     for jobs in [2, 4, 8, 16] {
-        let par = gen_eval::run_gen_eval_on(&opts, &JobPool::new(jobs));
         assert_eq!(
-            serial_text,
-            gen_eval::render_report(&par),
-            "E10 text diverged at jobs={jobs}"
-        );
-        assert_eq!(
-            serial_csv,
-            gen_eval::render_csv(&par),
-            "E10 CSV diverged at jobs={jobs}"
+            serial,
+            views(row, &args, JobPool::new(jobs)),
+            "E10 diverged at jobs={jobs}"
         );
     }
 }

@@ -14,6 +14,8 @@
 use mtt_experiment::campaign::{Campaign, ToolConfig};
 use mtt_experiment::jobpool::JobPool;
 use mtt_experiment::multiout_eval;
+use mtt_experiment::registry::{self, Ctx, Flags};
+use mtt_experiment::Format;
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -38,6 +40,16 @@ fn check_golden(name: &str, actual: &str) {
         expected, actual,
         "report drifted from snapshot {name}; if intended, rerun with MTT_BLESS=1 and review the diff"
     );
+}
+
+/// The text and CSV views of `mtt <name>` at its default arguments, run
+/// through the registry row the CLI dispatches to, on 4 workers.
+fn experiment_views(name: &str) -> (String, String) {
+    let row = registry::find(name).expect("registered experiment");
+    let ctx = Ctx::new(JobPool::new(4), Flags::default(), row.name);
+    let report = (row.run)(&[], &ctx).expect("experiment runs");
+    let view = |format| report.render(format).expect("text and CSV views");
+    (view(Format::Text), view(Format::Csv))
 }
 
 /// A tiny fixed-seed E1 campaign: 2 programs x 2 tools x 8 runs.
@@ -169,15 +181,9 @@ fn e11_scoreboard_matches_golden() {
     // byte: CI diffs `mtt e11 --jobs 4` against this same snapshot, so a
     // detector or lint change that moves a score shows up as a reviewable
     // golden diff in both places.
-    let rows = mtt_experiment::scoreboard::run_scoreboard_on(20, &JobPool::new(4));
-    check_golden(
-        "e11_scoreboard.txt",
-        &mtt_experiment::scoreboard::render_report(&rows),
-    );
-    check_golden(
-        "e11_scoreboard.csv",
-        &mtt_experiment::scoreboard::render_csv(&rows),
-    );
+    let (text, csv) = experiment_views("e11");
+    check_golden("e11_scoreboard.txt", &text);
+    check_golden("e11_scoreboard.csv", &csv);
 }
 
 #[test]
@@ -186,16 +192,9 @@ fn e10_gen_scoreboard_matches_golden() {
     // is pinned byte for byte: CI diffs `mtt e10 --jobs 4` against this
     // same snapshot, so a generator or detector change that moves a
     // precision/recall cell shows up as a reviewable golden diff.
-    let opts = mtt_experiment::gen_eval::GenEvalOptions::default();
-    let rows = mtt_experiment::gen_eval::run_gen_eval_on(&opts, &JobPool::new(4));
-    check_golden(
-        "e10_scoreboard.txt",
-        &mtt_experiment::gen_eval::render_report(&rows),
-    );
-    check_golden(
-        "e10_scoreboard.csv",
-        &mtt_experiment::gen_eval::render_csv(&rows),
-    );
+    let (text, csv) = experiment_views("e10");
+    check_golden("e10_scoreboard.txt", &text);
+    check_golden("e10_scoreboard.csv", &csv);
 }
 
 #[test]
@@ -213,7 +212,12 @@ fn gen_describe_matches_golden() {
 
 #[test]
 fn e5_multiout_table_matches_golden() {
-    let rows = multiout_eval::run_multiout_eval_on(24, 11, &JobPool::new(4));
+    let rows = multiout_eval::run_multiout_eval_on(
+        24,
+        11,
+        multiout_eval::standard_configs(),
+        &JobPool::new(4),
+    );
     check_golden(
         "e5_multiout_table.txt",
         &multiout_eval::multiout_table(&rows).render(),
@@ -227,13 +231,7 @@ fn e12_saturation_matches_golden() {
     // snapshot, so a scheduler or fingerprint change that moves a distinct
     // count, curve AUC, or unseen-mass cell shows up as a reviewable
     // golden diff in both places.
-    let cells = mtt_experiment::saturation_eval::run_saturation_on(40, &JobPool::new(4));
-    check_golden(
-        "e12_saturation.txt",
-        &mtt_experiment::saturation_eval::render_report(&cells),
-    );
-    check_golden(
-        "e12_saturation.csv",
-        &mtt_experiment::saturation_eval::render_csv(&cells),
-    );
+    let (text, csv) = experiment_views("e12");
+    check_golden("e12_saturation.txt", &text);
+    check_golden("e12_saturation.csv", &csv);
 }
